@@ -26,6 +26,8 @@ from .errors import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
     EXIT_OK,
+    BadConfig,
+    NoTripleFound,
     PkcoreError,
 )
 from .modring import (
@@ -40,6 +42,7 @@ from .primes import primes_in_range
 SCHEMA_VERSION = 1
 
 CONFIG_KEYS = ("table_bound", "format", "jobs", "base")
+FORMATS = ("human", "jsonl", "csv")
 DEFAULTS = {"table_bound": DEFAULT_TABLE_BOUND, "format": "human", "jobs": 1, "base": 2}
 
 
@@ -59,29 +62,38 @@ class Report:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
+    origin = dict.fromkeys(CONFIG_KEYS, "default")
     path = os.environ.get("PKCORE_CONFIG") or "pkcore.conf"
     if os.path.exists(path):
-        for line in open(path):
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in CONFIG_KEYS:
-                cfg[key] = value.strip()
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#") or "=" not in line:
+                    continue
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key in CONFIG_KEYS:
+                    cfg[key] = value.strip()
+                    origin[key] = f"config file {path}"
     for key in CONFIG_KEYS:
         env = os.environ.get(f"PKCORE_{key.upper()}")
         if env is not None:
             cfg[key] = env
+            origin[key] = f"PKCORE_{key.upper()}"
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    cfg["table_bound"] = int(cfg["table_bound"])
-    cfg["jobs"] = int(cfg["jobs"])
-    cfg["base"] = int(cfg["base"])
-    if cfg["format"] not in ("human", "jsonl", "csv"):
-        raise PkcoreError(f"unknown format {cfg['format']!r}")
+            origin[key] = "--" + key.replace("_", "-")
+    for key in ("table_bound", "jobs", "base"):
+        try:
+            cfg[key] = int(cfg[key])
+        except ValueError:
+            raise BadConfig(f"{key} = {cfg[key]!r} from {origin[key]} is not an integer") from None
+    if cfg["format"] not in FORMATS:
+        raise BadConfig(
+            f"format = {cfg['format']!r} from {origin['format']} is not one of {', '.join(FORMATS)}"
+        )
     return cfg
 
 
@@ -350,13 +362,14 @@ def cmd_scan(args, cfg) -> Report:
 
 def cmd_decompose(args, cfg) -> Report:
     mod = make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
-    report = waring.sumset_levels(mod, max(4, args.max_t))
     x = args.residue % mod.modulus
     for t in range(1, args.max_t + 1):
-        if report.masks[t] >> x & 1:
-            summands = waring.decompose_residue(mod, x, t, _levels=report.masks)
-            rows = [{"residue": x, "level": t, "summands": list(summands)}]
-            return Report(command="decompose", rows=rows, p=args.p, k=args.k)
+        try:
+            summands = waring.decompose_residue(mod, x, t)
+        except NoTripleFound:
+            continue
+        rows = [{"residue": x, "level": t, "summands": list(summands)}]
+        return Report(command="decompose", rows=rows, p=args.p, k=args.k)
     return Report(
         command="decompose",
         rows=[{"residue": x, "level": 0, "summands": []}],
@@ -382,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="structure of the unit group and p-th power sums mod p^k",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("human", "jsonl", "csv"), default=None)
+    common.add_argument("--format", choices=FORMATS, default=None)
     common.add_argument("--table-bound", dest="table_bound", type=int, default=None)
     common.add_argument("--jobs", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

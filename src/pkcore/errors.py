@@ -52,6 +52,12 @@ class WrongLength(PkcoreError):
     exit_code = EXIT_BAD_INPUT
 
 
+class BadConfig(PkcoreError):
+    """A setting from a flag, PKCORE_* variable or config file is unusable."""
+
+    exit_code = EXIT_BAD_INPUT
+
+
 class FactorizationFailure(PkcoreError):
     exit_code = EXIT_FACTORIZATION
 

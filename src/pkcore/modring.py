@@ -41,6 +41,11 @@ class PrimePowerModulus:
     ext_order: int
     tables_enabled: bool = True
 
+    @property
+    def pth_power_order(self) -> int:
+        """|F_k|: (p-1)*p^(k-2) for k >= 2, and p-1 at k = 1."""
+        return self.units_order // self.p if self.k >= 2 else self.units_order
+
     def require_tables(self) -> None:
         if not self.tables_enabled:
             raise Oversize(
@@ -136,12 +141,6 @@ def subgroup_descriptor(mod: PrimePowerModulus, kind: str, e: int = 0) -> Subgro
     return SubgroupDescriptor(kind=kind, e=e, order=orders[kind])
 
 
-def mod_pow(base: Residue, exponent: int) -> Residue:
-    if exponent < 0:
-        raise BadExponent("exponent must be non-negative")
-    return Residue(pow(base.value, exponent, base.mod.modulus), base.mod)
-
-
 def multiplicative_order(n: Residue) -> int:
     """Least t >= 1 with n^t = 1, by peeling primes off the group order."""
     if not n.is_unit:
@@ -183,11 +182,23 @@ def core_extension_members(mod: PrimePowerModulus, e: int) -> set[int]:
     return {a * y % m for a in core_members(mod) for y in ys}
 
 
+def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(q, A_q): q = p^min(k, 2) and the p-th powers of units mod q, ascending.
+
+    F_k is exactly the set of residues mod p^k whose reduction mod q lies
+    in A_q. Proof: (a + bp)^p = a^p mod p^2, so F_k mod p^2 lies in the
+    core A_2, and F_k and the preimage of A_2 both have (p-1)*p^(k-2)
+    elements. At k = 1, n^p = n mod p makes every unit a p-th power.
+    """
+    q = p ** min(k, 2)
+    return q, tuple(sorted({pow(n, p, q) for n in range(1, p)}))
+
+
 def pth_power_members(mod: PrimePowerModulus) -> set[int]:
     """F_k, the p-th powers of units. Equals X^(k-2) for k >= 2."""
     mod.require_tables()
-    m = mod.modulus
-    return {pow(n, mod.p, m) for n in range(1, m) if n % mod.p}
+    q, base = pth_power_base(mod.p, mod.k)
+    return {a + j for j in range(0, mod.modulus, q) for a in base}
 
 
 def is_core(mod: PrimePowerModulus, x: int) -> bool:

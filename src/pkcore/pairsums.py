@@ -21,44 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corefst import CoreTable, build_core_table, critical_precision
+from .corefst import build_core_table, critical_precision
 from .modring import PrimePowerModulus, core_extension_members
+from .waring import reduced_sumsets
 
 __all__ = [
-    "CosetReport",
     "FermatPairsumResult",
     "ExtensionPairsumVerdict",
-    "coset_generators",
     "core_pairsum_count",
     "fermat_pairsum_count",
     "extension_pairsum_check",
 ]
-
-
-@dataclass(frozen=True)
-class CosetReport:
-    mod: PrimePowerModulus
-    generators: frozenset[int]  # distinct d_k(n), n = 1..p-2 (wraps excluded)
-    distinct_count: int  # over the first half n = 1..h
-    pairsum_count_predicted: int
-    pairsum_count_observed: int | None = None
-
-
-def coset_generators(table: CoreTable) -> CosetReport:
-    mod = table.mod
-    p = mod.p
-    h = (p - 1) // 2
-    inner = table.increments[1 : p - 1]  # drop the n=0 and n=p-1 wrap entries
-    gens = frozenset(inner)
-    distinct = len(set(inner[:h]))
-    f_order = (p - 1) * p ** (mod.k - 2) if mod.k >= 2 else p - 1
-    d2 = _distinct_count_at(p, 2)
-    return CosetReport(
-        mod=mod,
-        generators=gens,
-        distinct_count=distinct,
-        pairsum_count_predicted=f_order * d2,
-    )
 
 
 def _distinct_count_at(p: int, k: int) -> int:
@@ -101,27 +74,27 @@ class FermatPairsumResult:
 
 
 def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
-    """Count the unit part of F+F exhaustively and compare to |F|*|D_2|.
+    """Count the unit part of F+F and compare it to |F|*|D_2|.
 
-    The unit sums form whole F-cosets; their coset generators are the
-    increments read at precision 2, regardless of k. Sums that are zero
-    mod p come from exactly opposite core parts and land on multiples of
-    p^2; they are tallied in nonunit_nonzero, outside the identity.
+    F+F is the preimage of S_2, the sumset A_q + A_q in Z/q with
+    q = p^min(k, 2) (see waring), so each class of S_2 counts p^k/q
+    residues. The unit sums form whole F-cosets; their coset generators
+    are the increments read at precision 2, regardless of k. Sums that
+    are zero mod p come from exactly opposite core parts and land on
+    multiples of p^2; they are tallied in nonunit_nonzero, outside the
+    identity.
     """
     mod.require_tables()
-    p, m = mod.p, mod.modulus
-    f = sorted({pow(n, p, m) for n in range(1, m) if n % p})
-    sums: set[int] = set()
-    for i, a in enumerate(f):
-        for b in f[i:]:
-            sums.add((a + b) % m)
-    sums.discard(0)
-    units = sum(1 for s in sums if s % p)
+    p = mod.p
+    q, _, levels = reduced_sumsets(mod, 2)
+    s2 = levels[1]
+    lift = mod.modulus // q
+    nonunit_classes = sum(s2 >> y & 1 for y in range(0, q, p))
     d2 = _distinct_count_at(p, 2)
     return FermatPairsumResult(
-        observed=units,
-        predicted=len(f) * d2,
-        nonunit_nonzero=len(sums) - units,
+        observed=lift * (s2.bit_count() - nonunit_classes),
+        predicted=mod.pth_power_order * d2,
+        nonunit_nonzero=lift * nonunit_classes - (s2 & 1),  # 0 itself is not counted
     )
 
 

@@ -5,8 +5,15 @@ and all multiples of p). The headline coverage fact: every residue mod
 p^k is a sum of at most four p-th power residues, split as F+3 covering
 the multiples-of-p side and F+4 the rest, with overlaps for p > 3.
 
-Masks are plain ints used as bitsets over [0, p^k); level t+1 is the
-cyclic convolution of level t with F, done by shift-or.
+Precision 2 decides everything. Let q = p^min(k, 2) and A_q the p-th
+powers of units mod q (the core A_2 for k >= 2, all units mod p at
+k = 1). (a + bp)^p = a^p mod p^2, so F mod p^2 lies in A_2; F and the
+preimage of A_2 in Z/p^k both have (p-1)*p^(k-2) elements, so F is
+exactly that preimage. Each summand therefore ranges over whole classes
+a + qZ, and F+t is the preimage of S_t, the t-fold sumset of A_q in
+Z/q. The levels S_t are computed and cached as bitsets over [0, q)
+and tiled out to p^k; F ∩ [1, q) = A_q, so scanning A_q ascending finds
+the same witness as scanning F ascending.
 
 Multiples of p decompose in two regimes. A first-shell multiple mp with
 m not divisible by p is a three-summand sum: some positive triple
@@ -25,14 +32,18 @@ honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CheckFailure, NoTripleFound, OutOfRange
-from .modring import PrimePowerModulus
+from .modring import PrimePowerModulus, pth_power_base
 
 __all__ = [
     "CoverageReport",
     "MultiplesReport",
+    "ReducedSumsets",
     "TripleWitness",
+    "reduced_sumsets",
     "sumset_levels",
     "verify_multiples_of_p",
     "h_triple_coresum",
@@ -42,17 +53,39 @@ __all__ = [
 ]
 
 
-def _f_elements(mod: PrimePowerModulus) -> list[int]:
-    m, p = mod.modulus, mod.p
-    return sorted({pow(n, p, m) for n in range(1, m) if n % p})
+class ReducedSumsets(NamedTuple):
+    q: int  # p^min(k, 2)
+    base: tuple[int, ...]  # A_q ascending, which is F ∩ [1, q)
+    levels: tuple[int, ...]  # levels[t-1] = S_t as a bitset over [0, q)
 
 
-def _convolve(mask: int, f: list[int], m: int) -> int:
-    full = (1 << m) - 1
-    out = 0
-    for v in f:
-        out |= ((mask << v) | (mask >> (m - v))) & full
-    return out
+@lru_cache(maxsize=16)  # an entry holds max_t bitsets of q <= p^2 bits
+def _sumsets_mod_q(p: int, e: int, max_t: int) -> ReducedSumsets:
+    q, base = pth_power_base(p, e)
+    full = (1 << q) - 1
+    level = sum(1 << a for a in base)
+    levels = [level]
+    for _ in range(max_t - 1):
+        shifted = 0
+        for a in base:
+            shifted |= (level << a) | (level >> (q - a))
+        level = shifted & full
+        levels.append(level)
+    return ReducedSumsets(q, base, tuple(levels))
+
+
+def reduced_sumsets(mod: PrimePowerModulus, max_t: int) -> ReducedSumsets:
+    """S_1..S_max_t on Z/q, cached per (p, q) and depth: F+t is the preimage of S_t."""
+    return _sumsets_mod_q(mod.p, min(mod.k, 2), max_t)
+
+
+def _tile(pattern: int, period: int, m: int) -> int:
+    """The bitset over [0, m) that repeats pattern every period bits."""
+    mask, width = pattern, period
+    while width < m:
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << m) - 1)
 
 
 @dataclass(frozen=True)
@@ -71,25 +104,23 @@ class CoverageReport:
         return {i for i in range(self.mod.modulus) if mask >> i & 1}
 
 
-def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
-    """Masks of F, F+2, ..., F+max_t plus the coverage verdicts."""
+def _require_sumset_cell(mod: PrimePowerModulus) -> None:
     mod.require_tables()
     if mod.k < 2:
         raise OutOfRange("sumset analysis needs k >= 2")
+
+
+def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
+    """Masks of F, F+2, ..., F+max_t plus the coverage verdicts."""
+    _require_sumset_cell(mod)
     if max_t < 4:
         raise OutOfRange("max_t below 4 cannot decide the coverage theorem")
     m = mod.modulus
-    f = _f_elements(mod)
-    masks = {1: 0}
-    for v in f:
-        masks[1] |= 1 << v
-    for t in range(2, max_t + 1):
-        masks[t] = _convolve(masks[t - 1], f, m)
+    small = reduced_sumsets(mod, max_t)
+    masks = {t: _tile(level, small.q, m) for t, level in enumerate(small.levels, start=1)}
     full = (1 << m) - 1
     union34 = masks[3] | masks[4]
-    n0_mask = 0
-    for x in range(mod.p, m, mod.p):
-        n0_mask |= 1 << x
+    n0_mask = _tile(1, mod.p, m) ^ 1  # the nonzero multiples of p
     report = CoverageReport(
         mod=mod,
         masks=masks,
@@ -101,50 +132,42 @@ def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
     )
     # spot-check witnesses: smallest member of each level above 1
     for t in range(2, max_t + 1):
-        mask = masks[t]
-        probe = (mask & -mask).bit_length() - 1 if mask else None
-        if probe is not None:
-            report.witness_decompositions[probe] = decompose_residue(mod, probe, t, _levels=masks)
+        level = small.levels[t - 1]
+        if level:
+            probe = (level & -level).bit_length() - 1
+            report.witness_decompositions[probe] = decompose_residue(mod, probe, t)
     return report
 
 
-def decompose_residue(
-    mod: PrimePowerModulus,
-    x: int,
-    t: int,
-    _levels: dict[int, int] | None = None,
-) -> tuple[int, ...]:
+def decompose_residue(mod: PrimePowerModulus, x: int, t: int) -> tuple[int, ...]:
     """A t-tuple of p-th power residues summing to x mod p^k.
 
-    Deterministic: scans F ascending and recurses on the remainder, so
-    the first witness found is always the same. Raises NoTripleFound if
-    x is not in F+t.
+    Deterministic: picks each summand but the last as the smallest
+    element of F that leaves a remainder in the level below, so the
+    witness is always the same. Raises NoTripleFound if x is not in F+t.
     """
     mod.require_tables()
+    if t < 1:
+        raise OutOfRange(f"need at least one summand, got t = {t}")
     m = mod.modulus
-    f = _f_elements(mod)
-    if _levels is None:
-        _levels = {1: 0}
-        for v in f:
-            _levels[1] |= 1 << v
-        for lvl in range(2, t + 1):
-            _levels[lvl] = _convolve(_levels[lvl - 1], f, m)
+    q, base, levels = reduced_sumsets(mod, t)
     x %= m
-    if not _levels[t] >> x & 1:
+    if not levels[t - 1] >> (x % q) & 1:
         raise NoTripleFound(f"{x} is not a sum of {t} p-th power residues mod {m}")
     parts: list[int] = []
     rem = x
     for lvl in range(t, 1, -1):
-        for v in f:
-            if _levels[lvl - 1] >> ((rem - v) % m) & 1:
+        below = levels[lvl - 2]
+        for v in base:
+            if below >> ((rem - v) % q) & 1:
                 parts.append(v)
                 rem = (rem - v) % m
                 break
-        else:  # pragma: no cover - contradicts the mask invariant
+        else:  # pragma: no cover - contradicts the level invariant
             raise CheckFailure("witness search lost a marked residue")
     parts.append(rem)
-    fset = set(f)
-    if sum(parts) % m != x or any(v not in fset for v in parts):
+    f_order = mod.pth_power_order
+    if sum(parts) % m != x or any(pow(v, f_order, m) != 1 for v in parts):
         raise CheckFailure("invalid witness produced")  # pragma: no cover
     return tuple(parts)
 
@@ -160,21 +183,21 @@ class MultiplesReport:
 
 
 def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
-    """Exhaustive check of which nonzero multiples of p are in F+3.
+    """Which nonzero multiples of p are in F+3, each one checked.
 
     Returns witnesses (three p-th power summands) for every covered
     multiple; the uncovered ones, when any, are nonzero multiples of p^2
     and are verified to be two-summand sums instead.
     """
-    report = sumset_levels(mod, 4)
+    _require_sumset_cell(mod)
     m, p = mod.modulus, mod.p
-    mask3, mask2 = report.masks[3], report.masks[2]
+    q, _, levels = reduced_sumsets(mod, 3)
     missing = []
     witnesses: dict[int, tuple[int, int, int]] = {}
     first_shell_ok = True
     for x in range(p, m, p):
-        if mask3 >> x & 1:
-            witnesses[x] = decompose_residue(mod, x, 3, _levels=report.masks)  # type: ignore[assignment]
+        if levels[2] >> (x % q) & 1:
+            witnesses[x] = decompose_residue(mod, x, 3)  # type: ignore[assignment]
         else:
             missing.append(x)
             if x % (p * p):
@@ -184,7 +207,7 @@ def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
         all_covered=not missing,
         first_shell_covered=first_shell_ok,
         missing=tuple(missing),
-        missing_in_two_sums=all(mask2 >> x & 1 for x in missing),
+        missing_in_two_sums=all(levels[1] >> (x % q) & 1 for x in missing),
         witnesses=witnesses,
     )
 

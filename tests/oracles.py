@@ -87,3 +87,85 @@ def naive_is_prime(n: int) -> bool:
 
 def naive_factorint(n: int) -> dict[int, int]:
     return dict(sympy.factorint(n))
+
+
+# --- shift-or bitset sumsets over the whole ring -------------------------
+# The route pkcore.waring took before it reduced F+t to precision 2: F is
+# built by one pow per unit, level t+1 is the cyclic convolution of level t
+# with F by shift-or over [0, p^k), and witnesses scan F ascending.
+
+
+def bitset_levels(p: int, k: int, t_max: int = 4) -> tuple[list[int], dict[int, int]]:
+    """F ascending, and level t -> bitset over [0, p^k) of F+t for t = 1..t_max."""
+    m = p**k
+    f = sorted(naive_pth_powers(p, k))
+    full = (1 << m) - 1
+    levels = {1: sum(1 << v for v in f)}
+    for t in range(2, t_max + 1):
+        prev, out = levels[t - 1], 0
+        for v in f:
+            out |= ((prev << v) | (prev >> (m - v))) & full
+        levels[t] = out
+    return f, levels
+
+
+def bitset_witness(f: list[int], m: int, levels: dict[int, int], x: int, t: int) -> tuple[int, ...] | None:
+    """The t summands chosen by scanning F (ascending list f) at each
+    level, or None when x is not in F+t mod m."""
+    x %= m
+    if not levels[t] >> x & 1:
+        return None
+    parts = []
+    rem = x
+    for lvl in range(t, 1, -1):
+        v = next(v for v in f if levels[lvl - 1] >> ((rem - v) % m) & 1)
+        parts.append(v)
+        rem = (rem - v) % m
+    return (*parts, rem)
+
+
+def bitset_coverage(p: int, k: int, t_max: int = 4) -> dict:
+    """The fields of waring.CoverageReport, from the bitset levels."""
+    m = p**k
+    f, levels = bitset_levels(p, k, t_max)
+    n0 = 0
+    for x in range(p, m, p):
+        n0 |= 1 << x
+    witnesses = {}
+    for t in range(2, t_max + 1):
+        probe = (levels[t] & -levels[t]).bit_length() - 1
+        witnesses[probe] = bitset_witness(f, m, levels, probe, t)
+    return {
+        "masks": levels,
+        "counts": {t: mask.bit_count() for t, mask in levels.items()},
+        "theorem_holds": levels[3] | levels[4] == (1 << m) - 1,
+        "n0_covered_by3": levels[3] & n0 == n0,
+        "conjecture_f3_in_f4": levels[3] & ~levels[4] == 0,
+        "disjoint_f3_f4": levels[3] & levels[4] == 0,
+        "witness_decompositions": witnesses,
+    }
+
+
+def bitset_multiples(p: int, k: int) -> dict:
+    """The fields of waring.MultiplesReport, from the bitset levels."""
+    m = p**k
+    f, levels = bitset_levels(p, k, 3)
+    missing = [x for x in range(p, m, p) if not levels[3] >> x & 1]
+    return {
+        "all_covered": not missing,
+        "first_shell_covered": all(x % (p * p) == 0 for x in missing),
+        "missing": tuple(missing),
+        "missing_in_two_sums": all(levels[2] >> x & 1 for x in missing),
+        "witnesses": {
+            x: bitset_witness(f, m, levels, x, 3) for x in range(p, m, p) if levels[3] >> x & 1
+        },
+    }
+
+
+def fermat_pairsum_counts(p: int, k: int) -> tuple[int, int]:
+    """(unit sums, nonzero non-unit sums) in F+F, from the bitset of F+F."""
+    m = p**k
+    bits = bin(bitset_levels(p, k, 2)[1][2])[:1:-1].ljust(m, "0")  # bits[x] == "1" iff x in F+F
+    units = sum(1 for x in range(m) if bits[x] == "1" and x % p)
+    nonunit_nonzero = sum(1 for x in range(p, m, p) if bits[x] == "1")
+    return units, nonunit_nonzero

@@ -156,3 +156,27 @@ def test_divisors_command(capsys):
     code, out, _ = run(capsys, "divisors", "-p", "11")
     assert code == 0
     assert sum("exceptional" in line for line in out.splitlines()) == 2
+
+
+def test_waring_3_16_under_default_bound(capsys):
+    code, out, _ = run(capsys, "waring", "-p", "3", "-k", "16", "--format", "jsonl")
+    assert code == 0
+    summary = json.loads(out.splitlines()[0])
+    assert summary["counts"] == {"1": 9565938, "2": 14348907, "3": 19131876, "4": 23914845}
+    assert summary["theorem_holds"] is True
+    assert summary["n0_covered_by3"] is False
+
+
+def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
+    for key, value in [("JOBS", "abc"), ("TABLE_BOUND", "1e6"), ("BASE", "two"), ("FORMAT", "xml")]:
+        monkeypatch.setenv(f"PKCORE_{key}", value)
+        code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
+        assert code == 6 and f"PKCORE_{key}" in err and key.lower() in err, (key, err)
+        monkeypatch.delenv(f"PKCORE_{key}")
+    conf = tmp_path / "pk.conf"
+    monkeypatch.setenv("PKCORE_CONFIG", str(conf))
+    for line in ("table_bound=big", "jobs=2.5", "base=", "format=xml"):
+        conf.write_text(line + "\n")
+        code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
+        assert code == 6 and line.split("=")[0] in err and str(conf) in err, (line, err)

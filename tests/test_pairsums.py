@@ -83,3 +83,11 @@ def test_extension_levels():
             verdict = extension_pairsum_check(make_modulus(p, k), e)
             assert verdict.passed, (p, k, e)
             assert verdict.unit_sum_count == verdict.coset_union_count
+
+
+def test_fermat_counts_match_exhaustive():
+    primes = [p for p in range(3, 142) if oracles.naive_is_prime(p)]
+    cells = [(p, k) for p in primes for k in range(1, 10) if p**k <= 20000]
+    for p, k in cells:
+        r = fermat_pairsum_count(make_modulus(p, k))
+        assert (r.observed, r.nonunit_nonzero) == oracles.fermat_pairsum_counts(p, k), (p, k)

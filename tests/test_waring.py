@@ -1,7 +1,11 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from pkcore.errors import NoTripleFound
+from pkcore.errors import NoTripleFound, OutOfRange
 from pkcore.modring import make_modulus, pth_power_members
 from pkcore.waring import (
     class_of,
@@ -13,6 +17,10 @@ from pkcore.waring import (
 )
 
 GRID = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3)]
+SMALL_PRIMES = [p for p in range(3, 142) if oracles.naive_is_prime(p)]
+# every cell with k >= 2 and p^k <= 20000, checked against the bitset oracle
+ORACLE_CELLS = [(p, k) for p in SMALL_PRIMES for k in range(2, 10) if p**k <= 20000]
+K1_CELLS = [(p, 1) for p in SMALL_PRIMES]
 
 
 def test_level_counts_golden():
@@ -133,3 +141,46 @@ def test_translation_classes_partition():
         assert all(class_of(mod, x) == i for x in cls)
         seen |= cls
     assert seen == set(range(25))
+
+
+def test_reports_match_bitset_oracle():
+    for p, k in ORACLE_CELLS:
+        mod = make_modulus(p, k)
+        r = sumset_levels(mod, 4)
+        want = oracles.bitset_coverage(p, k)
+        got = {name: getattr(r, name) for name in want}
+        assert got == want, (p, k)
+        v = verify_multiples_of_p(mod)
+        want = oracles.bitset_multiples(p, k)
+        got = {name: getattr(v, name) for name in want}
+        assert got == want, (p, k)
+
+
+def test_sumset_input_validation():
+    mod = make_modulus(7, 1)
+    with pytest.raises(OutOfRange):
+        sumset_levels(mod, 4)
+    with pytest.raises(OutOfRange):
+        verify_multiples_of_p(mod)
+    with pytest.raises(OutOfRange):
+        decompose_residue(make_modulus(7, 3), 14, 0)
+
+
+@lru_cache(maxsize=None)
+def _oracle_levels(p, k):
+    return oracles.bitset_levels(p, k, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_CELLS + K1_CELLS), st.integers(0, 10**9), st.integers(1, 4))
+def test_decompose_matches_bitset_oracle(cell, seed, t):
+    p, k = cell
+    mod = make_modulus(p, k)
+    f, levels = _oracle_levels(p, k)
+    x = seed % mod.modulus
+    want = oracles.bitset_witness(f, mod.modulus, levels, x, t)
+    if want is None:
+        with pytest.raises(NoTripleFound):
+            decompose_residue(mod, x, t)
+    else:
+        assert decompose_residue(mod, x, t) == want
