@@ -80,11 +80,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if env is not None:
             cfg[key] = env
             origin[key] = f"PKCORE_{key.upper()}"
-    for key in CONFIG_KEYS:
+    for key in CONFIG_KEYS:  # argparse has already checked flag values
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-            origin[key] = "--" + key.replace("_", "-")
     for key in ("table_bound", "jobs", "base"):
         try:
             cfg[key] = int(cfg[key])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .corefst import build_core_table, critical_precision
 from .modring import PrimePowerModulus, core_extension_members
-from .waring import reduced_sumsets
+from .waring import _tile, reduced_sumsets
 
 __all__ = [
     "FermatPairsumResult",
@@ -89,7 +89,7 @@ def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
     q, _, levels = reduced_sumsets(mod, 2)
     s2 = levels[1]
     lift = mod.modulus // q
-    nonunit_classes = sum(s2 >> y & 1 for y in range(0, q, p))
+    nonunit_classes = (s2 & _tile(1, p, q)).bit_count()
     d2 = _distinct_count_at(p, 2)
     return FermatPairsumResult(
         observed=lift * (s2.bit_count() - nonunit_classes),

@@ -59,24 +59,55 @@ class ReducedSumsets(NamedTuple):
     levels: tuple[int, ...]  # levels[t-1] = S_t as a bitset over [0, q)
 
 
-@lru_cache(maxsize=16)  # an entry holds max_t bitsets of q <= p^2 bits
-def _sumsets_mod_q(p: int, e: int, max_t: int) -> ReducedSumsets:
-    q, base = pth_power_base(p, e)
-    full = (1 << q) - 1
-    level = sum(1 << a for a in base)
-    levels = [level]
-    for _ in range(max_t - 1):
-        shifted = 0
-        for a in base:
-            shifted |= (level << a) | (level >> (q - a))
-        level = shifted & full
-        levels.append(level)
-    return ReducedSumsets(q, base, tuple(levels))
+def _bitset(values, q: int) -> int:
+    """The bitset over [0, q) with the given bits set, built in one pass."""
+    digits = bytearray(b"0") * q  # binary digits, most significant first: bit v is digits[~v]
+    for v in values:
+        digits[~v] = 49  # ord("1")
+    return int(digits, 2)  # base 2 parses in linear time
+
+
+class _LevelCache:
+    """S_1, S_2, ... on Z/q for one (p, q), extended on demand.
+
+    S_2 comes from the |A|^2/2 pairs of A_q, O(p^2) steps where |A|
+    shifts of a q-bit int would cost O(p^3/64) word operations; deeper
+    levels are S_t + A_q by shift-or.
+    """
+
+    def __init__(self, p: int, e: int) -> None:
+        self.q, self.base = pth_power_base(p, e)
+        self.levels = (_bitset(self.base, self.q),)
+
+    def upto(self, max_t: int) -> tuple[int, ...]:
+        # extend a local copy and publish it whole, so a level is never
+        # stored twice or out of place
+        q, base, levels = self.q, self.base, self.levels
+        if len(levels) == 1 < max_t:
+            pairs = ((a + b) % q for i, a in enumerate(base) for b in base[i:])
+            levels += (_bitset(pairs, q),)
+        full = (1 << q) - 1
+        while len(levels) < max_t:
+            level, shifted = levels[-1], 0
+            for a in base:
+                shifted |= (level << a) | (level >> (q - a))
+            levels += (shifted & full,)
+        self.levels = levels
+        return levels[:max_t]
+
+
+@lru_cache(maxsize=4)  # an entry holds a few bitsets of q <= p^2 bits
+def _level_cache(p: int, e: int) -> _LevelCache:
+    return _LevelCache(p, e)
 
 
 def reduced_sumsets(mod: PrimePowerModulus, max_t: int) -> ReducedSumsets:
-    """S_1..S_max_t on Z/q, cached per (p, q) and depth: F+t is the preimage of S_t."""
-    return _sumsets_mod_q(mod.p, min(mod.k, 2), max_t)
+    """S_1..S_max_t on Z/q, cached per (p, q): F+t is the preimage of S_t.
+
+    Every depth shares one cache entry, so no level is computed twice.
+    """
+    cache = _level_cache(mod.p, min(mod.k, 2))
+    return ReducedSumsets(cache.q, cache.base, cache.upto(max_t))
 
 
 def _tile(pattern: int, period: int, m: int) -> int:

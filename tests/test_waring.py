@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pkcore import waring
 from pkcore.errors import NoTripleFound, OutOfRange
 from pkcore.modring import make_modulus, pth_power_members
+from pkcore.pairsums import fermat_pairsum_count
 from pkcore.waring import (
     class_of,
     decompose_residue,
@@ -184,3 +186,23 @@ def test_decompose_matches_bitset_oracle(cell, seed, t):
             decompose_residue(mod, x, t)
     else:
         assert decompose_residue(mod, x, t) == want
+
+
+def test_levels_shared_across_depths():
+    waring._level_cache.cache_clear()
+    mod = make_modulus(7, 4)
+    sumset_levels(mod, 4)
+    first = waring.reduced_sumsets(mod, 4).levels
+    verify_multiples_of_p(mod)
+    fermat_pairsum_count(mod)
+    for t in range(1, 5):
+        try:
+            decompose_residue(mod, 7, t)
+        except NoTripleFound:
+            pass
+    assert waring._level_cache.cache_info().misses == 1
+    assert len(waring._level_cache(7, 2).levels) == 4  # S_1..S_4, each built once
+    sumset_levels(mod, 6)
+    assert len(waring._level_cache(7, 2).levels) == 6
+    assert waring._level_cache.cache_info().misses == 1
+    assert all(a is b for a, b in zip(first, waring.reduced_sumsets(mod, 6).levels))
