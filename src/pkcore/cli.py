@@ -450,9 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, then reused by every call
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
         t0 = time.perf_counter()

@@ -9,9 +9,13 @@ increments d_k(n) = A_k(n+1) - A_k(n) distribute over precisions.
 
 Critical precision K_p is the least k at which the h = (p-1)/2 first-half
 increments are pairwise distinct mod p^k. It is already determined by the
-exact integer differences e_1(n) = (n+1)^p - n^p: distinctness levels of
-the e_i are preserved from each i to the next, so the module computes K_p
-from e_1 alone and the tests verify the preservation claim numerically.
+differences e_1(n) = (n+1)^p - n^p: distinctness levels of the e_i are
+preserved from each i to the next, so the module computes K_p from e_1
+alone and the tests verify the preservation claim numerically. Only e_1
+mod p^K is needed, for a K at or above K_p: it comes from two modular
+powers per n, with K doubling from 4 until the h values separate, so
+there is no size limit on p. The exact integers (about p*log10(p)
+digits each) survive only as a test oracle.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CheckFailure, OutOfRange, Oversize
+from .errors import CheckFailure, OutOfRange
 from .modring import PrimePowerModulus
-
-KP_GUARD_DEFAULT = 2000  # e_1(n) has about p*log10(p) digits
 
 
 def fst_carry(p: int, n: int) -> int:
@@ -109,16 +111,25 @@ class CriticalPrecisionResult:
     witnesses: dict[int, tuple[int, int]]
 
 
-def critical_precision(p: int, guard: int = KP_GUARD_DEFAULT) -> CriticalPrecisionResult:
-    """Smallest k >= 2 with all of e_1(1..h) pairwise distinct mod p^k."""
-    if p > guard:
-        raise Oversize(f"p = {p} above the exact-integer guard {guard}")
+def critical_precision(p: int) -> CriticalPrecisionResult:
+    """Smallest k >= 2 with all of e_1(1..h) pairwise distinct mod p^k.
+
+    e_1 is computed mod p^K with K = 4, 8, ... (capped at p) until the h
+    values are distinct; every level k <= K then reads the same residues
+    the exact integers would give, since (x mod p^K) mod p^k = x mod p^k.
+    """
     h = (p - 1) // 2
-    e1 = [(n + 1) ** p - n ** p for n in range(1, h + 1)]
+    top = min(4, p)
+    while True:
+        m = p ** top
+        powers = [pow(n, p, m) for n in range(1, h + 2)]
+        e1 = [(b - a) % m for a, b in zip(powers, powers[1:])]  # e_1(1..h) mod p^top
+        if len(set(e1)) == h or top == p:
+            break
+        top = min(2 * top, p)
     counts: dict[int, int] = {}
     witnesses: dict[int, tuple[int, int]] = {}
-    k = 2
-    while True:
+    for k in range(2, top + 1):
         mk = p ** k
         seen: dict[int, int] = {}
         collision = None
@@ -127,15 +138,13 @@ def critical_precision(p: int, guard: int = KP_GUARD_DEFAULT) -> CriticalPrecisi
             if r in seen and collision is None:
                 collision = (seen[r], n)
             seen[r] = n
-        counts[k] = len({v % mk for v in e1})
+        counts[k] = len(seen)
         if counts[k] == h:
             if k >= p:
                 raise CheckFailure(f"critical precision bound violated: K_{p} = {k} >= p")
             return CriticalPrecisionResult(p=p, kp=k, distinct_counts=counts, witnesses=witnesses)
         witnesses[k] = collision
-        k += 1
-        if k > p:
-            raise CheckFailure(f"no critical precision below p for p = {p}")
+    raise CheckFailure(f"no critical precision below p for p = {p}")
 
 
 def integer_increments(p: int, i: int, k: int) -> list[int]:

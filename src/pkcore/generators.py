@@ -19,9 +19,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import CheckFailure, NotAUnit, OutOfRange
-from .modring import Residue, make_modulus, multiplicative_order
-from .primes import divisors, factorize, primes_in_range
+from .corefst import fst_carry
+from .errors import CheckFailure, OutOfRange
+from .modring import PrimePowerModulus, Residue, make_modulus, multiplicative_order
+from .primes import divisors, divisors_from_factorization, factorize, primes_in_range
 
 __all__ = [
     "DivisorAudit",
@@ -53,10 +54,11 @@ class DivisorAudit:
     sign_trivial: bool  # r = +-1 mod the audit modulus, core for sign reasons
 
 
-def _audit_one(p: int, r: int, cofactor: int) -> DivisorAudit:
-    p2, p3 = p * p, p ** 3
-    rp2, rp3 = pow(r, p, p2), pow(r, p, p3)
-    mod3 = make_modulus(p, 3, arithmetic_only=True)
+def _audit_one(r: int, cofactor: int, mod3: PrimePowerModulus) -> DivisorAudit:
+    p, p3 = mod3.p, mod3.modulus
+    p2 = p * p
+    rp3 = pow(r, p, p3)
+    rp2 = rp3 % p2
     rr = r % p3
     order = multiplicative_order(Residue(rr, mod3)) if rr % p else 0
     return DivisorAudit(
@@ -72,6 +74,14 @@ def _audit_one(p: int, r: int, cofactor: int) -> DivisorAudit:
     )
 
 
+def _p2_minus_1_factorization(p: int) -> dict[int, int]:
+    """p^2 - 1 = (p-1)(p+1), factored as its two halves and merged."""
+    fac = factorize(p - 1)
+    for q, e in factorize(p + 1).items():
+        fac[q] = fac.get(q, 0) + e
+    return fac
+
+
 def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
     """Audit every divisor r > 1 of p^2-1 mod p^2 and mod p^3.
 
@@ -82,11 +92,10 @@ def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
     ones, read off via the exceptional() helper.
     """
     n = p * p - 1
+    mod3 = make_modulus(p, 3, arithmetic_only=True)
     out = []
-    for r in divisors(n):
-        if r == 1:
-            continue
-        audit = _audit_one(p, r, n // r)
+    for r in divisors_from_factorization(_p2_minus_1_factorization(p))[1:]:
+        audit = _audit_one(r, n // r, mod3)
         if assert_non_core and audit.is_core_mod_p3:
             raise CheckFailure(f"divisor {r} of {p}^2-1 is core mod {p}^3")
         out.append(audit)
@@ -103,16 +112,29 @@ def exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
 
     r ranges over divisors of p^2-1 with 1 < r < p^2-1; the omitted
     endpoint is -1 mod p^2 and would match every prime trivially.
+
+    No divisor is raised to the p-th power. Every r is a unit, and
+    r^p = r mod p^2 exactly when its carry r' (r^(p-1) = 1 + r'p mod p^2)
+    is 0 mod p. Carries add under products, (ab)' = a' + b' mod p, and
+    every prime factor q of p^2-1 is below p, so each divisor's carry is
+    the sum of fst_carry(p, q) over its prime factors, built alongside
+    the divisor itself.
     """
     out = []
     for p in primes_in_range(max(p_min, 3), p_max):
-        p2 = p * p
-        for r in divisors(p2 - 1):
-            if r == 1 or r == p2 - 1:
-                continue
-            if pow(r, p, p2) == r:
-                out.append((p, r))
-                break
+        rs, carries = [1], [0]  # the divisors so far, each with its carry sum
+        for q, e in _p2_minus_1_factorization(p).items():
+            c = fst_carry(p, q)
+            new_rs, new_carries = list(rs), list(carries)
+            for i in range(1, e + 1):
+                qi, ci = q ** i, i * c
+                new_rs += [r * qi for r in rs]
+                new_carries += [s + ci for s in carries]
+            rs, carries = new_rs, new_carries
+        top = p * p - 1
+        r = min((r for r, s in zip(rs, carries) if s % p == 0 and 1 < r < top), default=0)
+        if r:
+            out.append((p, r))
     return out
 
 
@@ -265,11 +287,12 @@ def audit_power_divisors(p: int, m_exp: int, k: int = 3, assert_non_core: bool =
         raise OutOfRange("need m >= 1")
     n = p ** (2 * m_exp) - 1
     mk = p ** k
+    mod3 = make_modulus(p, 3, arithmetic_only=True)
     out = []
     for r in divisors(n):
         if r == 1:
             continue
-        audit = _audit_one(p, r, n // r)
+        audit = _audit_one(r, n // r, mod3)
         trivial = r % mk in (1, mk - 1)
         if assert_non_core and not trivial and pow(r, p, mk) == r % mk:
             raise CheckFailure(f"divisor {r} of {p}^{2 * m_exp}-1 is core mod {p}^{k}")

@@ -15,6 +15,7 @@ dot-separated decimal digit groups for larger p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BadDigit,
@@ -25,7 +26,7 @@ from .errors import (
     Oversize,
     WrongLength,
 )
-from .primes import divisors_from_factorization, factorize, is_prime
+from .primes import factorize, is_prime
 
 DEFAULT_TABLE_BOUND = 1 << 26
 
@@ -141,23 +142,36 @@ def subgroup_descriptor(mod: PrimePowerModulus, kind: str, e: int = 0) -> Subgro
     return SubgroupDescriptor(kind=kind, e=e, order=orders[kind])
 
 
+@lru_cache(maxsize=1024)
+def _unit_group_primes_mod_p(p: int) -> tuple[int, ...]:
+    """The primes dividing p-1, the order of the units mod p."""
+    return tuple(factorize(p - 1))
+
+
 def multiplicative_order(n: Residue) -> int:
-    """Least t >= 1 with n^t = 1, by peeling primes off the group order."""
+    """Least t >= 1 with n^t = 1, through the split G_k = A_k * B_k.
+
+    d = ord(n mod p) is the order of the core part, found by peeling the
+    primes of p-1 with arithmetic mod p. n^d lies in B_k, which is cyclic
+    of order p^(k-1), and 1 + a*p^j with p not dividing a has order
+    p^(k-j) there; d is prime to p, so ord(n) = d * ord(n^d).
+    """
     if not n.is_unit:
         raise NotAUnit(f"{n.value} is divisible by p = {n.mod.p}")
-    m = n.mod.modulus
-    group = n.mod.units_order
-    if pow(n.value, group, m) != 1:
-        raise NotAUnit(f"{n.value} has no order in the unit group mod {m}")
-    fac = factorize(n.mod.p - 1)
-    if n.mod.k > 1:
-        fac = dict(fac)
-        fac[n.mod.p] = fac.get(n.mod.p, 0) + (n.mod.k - 1)
-    order = group
-    for q in fac:
-        while order % q == 0 and pow(n.value, order // q, m) == 1:
-            order //= q
-    return order
+    p, k, m = n.mod.p, n.mod.k, n.mod.modulus
+    a = n.value % p
+    d = p - 1
+    for q in _unit_group_primes_mod_p(p):
+        while d % q == 0 and pow(a, d // q, p) == 1:
+            d //= q
+    rest = pow(n.value, d, m) - 1
+    if rest == 0:
+        return d
+    j = 0
+    while rest % p == 0:
+        rest //= p
+        j += 1
+    return d * p ** (k - j)
 
 
 def core_members(mod: PrimePowerModulus) -> set[int]:

@@ -19,6 +19,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _TRIAL_BOUND = 10 ** 6
 
+RHO_MAX_ITERS = 1 << 21  # per Pollard rho round
+
 
 def _miller_rabin(n: int, bases) -> bool:
     d = n - 1
@@ -134,7 +136,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [lo + i for i, f in enumerate(flags) if f]
 
 
-def _pollard_rho_brent(n: int, rng: random.Random, max_iters: int = 1 << 21) -> int:
+def _pollard_rho_brent(n: int, rng: random.Random, max_iters: int) -> int:
     """One Brent round with a fresh (start, offset). Returns a nontrivial
     factor, or 0 when the iteration budget runs out before a cycle splits."""
     if n % 2 == 0:
@@ -169,9 +171,11 @@ def _pollard_rho_brent(n: int, rng: random.Random, max_iters: int = 1 << 21) -> 
     return g if g != n else 0
 
 
-def factorize(n: int, max_rounds: int = 64) -> dict[int, int]:
+def factorize(n: int, max_rounds: int = 64, max_iters: int = RHO_MAX_ITERS) -> dict[int, int]:
     """Prime factorization {prime: exponent}. Raises FactorizationFailure
-    if Pollard rho cannot split a composite within the round budget."""
+    if Pollard rho cannot split a composite within max_rounds rounds of
+    at most max_iters iterations each. The rho generator is seeded with a
+    constant, so results are deterministic."""
     if n < 1:
         raise FactorizationFailure(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -190,7 +194,7 @@ def factorize(n: int, max_rounds: int = 64) -> dict[int, int]:
         wi = (wi + 1) % 8
     if n == 1:
         return out
-    rng = random.Random(0xC0FFEE)
+    rng = None
     stack = [n]
     rounds = 0
     while stack:
@@ -200,12 +204,13 @@ def factorize(n: int, max_rounds: int = 64) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        rng = rng or random.Random(0xC0FFEE)
         g = 0
         while g == 0:
             rounds += 1
             if rounds > max_rounds:
                 raise FactorizationFailure(f"rho budget exhausted splitting {m}")
-            g = _pollard_rho_brent(m, rng)
+            g = _pollard_rho_brent(m, rng, max_iters)
         stack.append(g)
         stack.append(m // g)
     return out

@@ -131,8 +131,8 @@ class CoverageReport:
     witness_decompositions: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def members(self, t: int) -> set[int]:
-        mask = self.masks[t]
-        return {i for i in range(self.mod.modulus) if mask >> i & 1}
+        bits = bin(self.masks[t])[:1:-1]  # least significant bit first
+        return {i for i, c in enumerate(bits) if c == "1"}
 
 
 def _require_sumset_cell(mod: PrimePowerModulus) -> None:

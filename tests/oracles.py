@@ -57,6 +57,28 @@ def naive_critical_precision(p: int, guard: int = 50) -> int:
             return k
 
 
+def exact_critical_precision(p: int) -> tuple[int, dict[int, int], dict[int, tuple[int, int]]]:
+    """(K_p, distinct counts per k, one colliding pair per pre-critical k)
+    from the exact integers e_1(n) = (n+1)^p - n^p, about p*log10(p)
+    digits each. For each k the pair is (latest earlier n with the same
+    residue, n) at the first repeat, scanning n = 1..h ascending."""
+    h = (p - 1) // 2
+    e1 = [(n + 1) ** p - n**p for n in range(1, h + 1)]
+    counts, witnesses = {}, {}
+    for k in range(2, p + 1):
+        m = p**k
+        seen, collision = {}, None
+        for n, v in enumerate(e1, start=1):
+            if v % m in seen and collision is None:
+                collision = (seen[v % m], n)
+            seen[v % m] = n
+        counts[k] = len(seen)
+        if counts[k] == h:
+            return k, counts, witnesses
+        witnesses[k] = collision
+    raise AssertionError(f"no critical precision below p for p={p}")
+
+
 def naive_fst_carry(p: int, n: int) -> int:
     r = pow(n, p - 1, p * p)
     assert r % p == 1
@@ -79,6 +101,20 @@ def naive_sum_levels(p: int, k: int, t_max: int = 4) -> dict[int, set[int]]:
 
 def naive_divisors(n: int) -> list[int]:
     return sorted(sympy.divisors(n))
+
+
+def naive_exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
+    """(p, smallest r) with r^p = r mod p^2, over divisors 1 < r < p^2-1."""
+    out = []
+    for p in range(max(p_min, 3), p_max + 1):
+        if not naive_is_prime(p):
+            continue
+        pp = p * p
+        for r in naive_divisors(pp - 1)[1:-1]:
+            if pow(r, p, pp) == r:
+                out.append((p, r))
+                break
+    return out
 
 
 def naive_is_prime(n: int) -> bool:

@@ -1,7 +1,10 @@
 import json
 
+import oracles
+import pkcore.cli
 from pkcore.cli import main, parse_jsonl, render_human
 from pkcore.modring import base_p_decode, make_modulus
+from pkcore.primes import primes_in_range
 
 
 def run(capsys, *argv):
@@ -55,6 +58,25 @@ def test_csv_header(capsys):
 def test_timing_goes_to_stderr(capsys):
     _, out, err = run(capsys, "kp", "--from", "3", "--to", "13")
     assert "elapsed" in err and "elapsed" not in out
+
+
+def test_kp_values_above_2000(capsys):
+    code, out, _ = run(capsys, "kp", "--from", "2000", "--to", "2100", "--format", "jsonl")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["p"] for r in recs] == primes_in_range(2000, 2100)
+    assert all("warning" not in r for r in recs)
+    assert {r["p"]: r["kp"] for r in recs} == {r["p"]: oracles.naive_critical_precision(r["p"]) for r in recs}
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+    real = pkcore.cli.build_parser
+    monkeypatch.setattr(pkcore.cli, "_parser", None)
+    monkeypatch.setattr(pkcore.cli, "build_parser", lambda: built.append(1) or real())
+    _, first, _ = run(capsys, "core", "-p", "5", "-k", "2")
+    _, second, _ = run(capsys, "core", "-p", "5", "-k", "2")
+    assert first == second and len(built) == 1
 
 
 def test_not_prime_exit(capsys):

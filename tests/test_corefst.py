@@ -84,8 +84,16 @@ def test_critical_precision_witnesses_11():
 
 
 def test_critical_precision_matches_oracle():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        assert critical_precision(p).kp == oracles.naive_critical_precision(p)
+    # 2003 and up lie beyond the old exact-integer range; 8191 = 2^13 - 1
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 2003, 4093, 8191):
+        assert critical_precision(p).kp == oracles.naive_critical_precision(p), p
+
+
+def test_critical_precision_matches_exact_route():
+    # 2777 is the only prime below 2*10^4 with K_p = 5, past the first K = 4
+    for p in [p for p in range(3, 301) if oracles.naive_is_prime(p)] + [2777]:
+        res = critical_precision(p)
+        assert (res.kp, res.distinct_counts, res.witnesses) == oracles.exact_critical_precision(p), p
 
 
 def test_integer_increments_golden():

@@ -50,6 +50,7 @@ def test_exception_scan_windows():
         assert pow(r, p, p * p) == r
         assert r not in (1, p * p - 1)
         assert (p * p - 1) % r == 0
+    assert exception_scan(3, 3000) == oracles.naive_exception_scan(3, 3000)
 
 
 def test_wieferich_small_window():

@@ -71,7 +71,21 @@ def test_factorize_semiprime():
 def test_factorize_gives_up_cleanly():
     n = (2**127 - 1) * (2**107 - 1)  # far beyond trial division
     with pytest.raises(FactorizationFailure):
-        factorize(n, max_rounds=1)
+        factorize(n, max_rounds=1, max_iters=1 << 10)
+
+
+def test_factorize_seeds_rho_only_when_needed(monkeypatch):
+    import pkcore.primes
+
+    seeds = []
+    real = pkcore.primes.random.Random
+    monkeypatch.setattr(pkcore.primes.random, "Random", lambda seed: seeds.append(seed) or real(seed))
+    assert factorize(1092 * 1094) == oracles.naive_factorint(1092 * 1094)
+    assert factorize(2 * 1000003) == {2: 1, 1000003: 1}  # prime cofactor after trial division
+    assert seeds == []
+    semiprime = 1000003 * 1000033  # both factors above the trial bound
+    assert factorize(semiprime) == factorize(semiprime) == {1000003: 1, 1000033: 1}
+    assert seeds == [0xC0FFEE, 0xC0FFEE]
 
 
 def test_divisors():

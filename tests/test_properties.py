@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pkcore.corefst import core_by_recurrence, fst_carry, recurrence_step_identity
 from pkcore.modring import (
     Residue,
@@ -9,7 +10,9 @@ from pkcore.modring import (
     decompose_unit,
     is_core,
     make_modulus,
+    multiplicative_order,
 )
+from pkcore.primes import primes_in_range
 
 SMALL_PRIMES = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 
@@ -77,3 +80,13 @@ def test_translation_classes_add(p, a, b):
     m = p**k
     x, y = a % m, b % m
     assert ((x + y) % m) % p == (x % p + y % p) % p
+
+
+@settings(deadline=None)
+@given(st.sampled_from(primes_in_range(3, 200)), st.integers(1, 5), st.integers(1, 10**12))
+def test_multiplicative_order_matches_sympy(p, k, seed):
+    mod = make_modulus(p, k, arithmetic_only=True)
+    x = seed % mod.modulus
+    if x % p == 0:
+        x += 1
+    assert multiplicative_order(Residue(x, mod)) == oracles.naive_order(x, mod.modulus)
