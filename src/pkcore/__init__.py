@@ -5,6 +5,7 @@ from .corefst import (
     CriticalPrecisionResult,
     build_core_table,
     core_by_recurrence,
+    core_members,
     critical_precision,
     fst_carry,
     integer_increments,
@@ -27,7 +28,6 @@ from .modring import (
     Residue,
     base_p_decode,
     base_p_encode,
-    core_members,
     decompose_unit,
     is_core,
     make_modulus,

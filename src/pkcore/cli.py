@@ -27,6 +27,7 @@ from .errors import (
     EXIT_INTERNAL,
     EXIT_OK,
     BadConfig,
+    CheckFailure,
     NoTripleFound,
     PkcoreError,
 )
@@ -113,6 +114,11 @@ RESIDUE_FIELDS = {
 RESIDUE_LIST_FIELDS = {"decompose": ("summands",), "waring": ("summands",)}
 
 
+def _columns(rows: list[dict]) -> list[str]:
+    """Every key of the rows, in order of first appearance."""
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
 def _fmt_value(command: str, key: str, value, mod) -> str:
     if mod is not None and key in RESIDUE_FIELDS.get(command, ()):
         return base_p_encode(Residue(value, mod))
@@ -137,11 +143,7 @@ def render_human(report: Report) -> str:
     if not report.rows:
         lines.append("(no rows)")
         return "\n".join(lines) + "\n"
-    keys = list(report.rows[0].keys())
-    for row in report.rows[1:]:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
+    keys = _columns(report.rows)
     table = [[_fmt_value(report.command, key, row.get(key, ""), mod) for key in keys] for row in report.rows]
     widths = [max(len(key), *(len(r[i]) for r in table)) for i, key in enumerate(keys)]
     lines.append("  ".join(key.ljust(w) for key, w in zip(keys, widths)))
@@ -182,11 +184,7 @@ def render_csv(report: Report) -> str:
 
     if not report.rows:
         return ""
-    keys = list(report.rows[0].keys())
-    for row in report.rows[1:]:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
+    keys = _columns(report.rows)
     buf = io.StringIO()
     writer = _csv.writer(buf)
     writer.writerow(keys)
@@ -234,14 +232,16 @@ def cmd_increments(args, cfg) -> Report:
 
 def cmd_kp(args, cfg) -> Report:
     rows = []
+    failed = False
     for p in primes_in_range(max(args.start, 3), args.to):
         try:
             res = corefst.critical_precision(p)
-        except PkcoreError as exc:
+        except CheckFailure as exc:  # a theorem violation: report the row, exit 2
             rows.append({"p": p, "warning": str(exc)})
+            failed = True
             continue
         rows.append({"p": p, "kp": res.kp, "profile": {str(a): b for a, b in res.distinct_counts.items()}})
-    return Report(command="kp", rows=rows)
+    return Report(command="kp", rows=rows, check_failed=failed)
 
 
 def cmd_pairsums(args, cfg) -> Report:
@@ -302,7 +302,6 @@ def cmd_divisors(args, cfg) -> Report:
     rows = []
     failed = False
     for a in audits:
-        exceptional = a.is_core_mod_p2 and not a.sign_trivial
         rows.append(
             {
                 "r": a.r,
@@ -311,7 +310,7 @@ def cmd_divisors(args, cfg) -> Report:
                 "core_mod_p2": a.is_core_mod_p2,
                 "core_mod_p3": a.is_core_mod_p3,
                 "sign_trivial": a.sign_trivial,
-                "classification": "exceptional" if exceptional else "regular",
+                "classification": "exceptional" if a.exceptional else "regular",
             }
         )
         failed = failed or a.is_core_mod_p3

@@ -15,15 +15,17 @@ alone and the tests verify the preservation claim numerically. Only e_1
 mod p^K is needed, for a K at or above K_p: it comes from two modular
 powers per n, with K doubling from 4 until the h values separate, so
 there is no size limit on p. The exact integers (about p*log10(p)
-digits each) survive only as a test oracle.
+digits each) survive only as a test oracle. build_core_table, memoised
+per modulus, is the one builder of A_k, its increments and D_k.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import CheckFailure, OutOfRange
+from .errors import BadExponent, CheckFailure, OutOfRange
 from .modring import PrimePowerModulus
 
 
@@ -79,26 +81,69 @@ class CoreTable:
     core[i] is A_k(n) for n = i+1 (p-1 entries); carries[i] is the carry
     of n = i+1; increments[i] is d_k(n) for n = i (p entries), with the
     wrap convention A_k(0) = A_k(p) = 0, so d_k(0) = d_k(p-1) = 1.
+    distinct_increments is D_k, the set of first-half increments d_k(1..h),
+    h = (p-1)/2; A_k(p-n) = -A_k(n) gives d_k(n) = d_k(p-1-n), so it is
+    also the set of all of d_k(1..p-2).
     """
 
     mod: PrimePowerModulus
     core: tuple[int, ...]
     carries: tuple[int, ...]
     increments: tuple[int, ...]
+    distinct_increments: frozenset[int]
 
 
 def build_core_table(mod: PrimePowerModulus) -> CoreTable:
+    """The core table of mod, built once per modulus and then shared.
+
+    This is the only place the core is computed; core_members,
+    core_extension_members, the pairsum counts and the corollary check
+    all read it.
+    """
+    return _core_table(mod)
+
+
+@lru_cache(maxsize=256)
+def _core_table(mod: PrimePowerModulus) -> CoreTable:
     p, k, m = mod.p, mod.k, mod.modulus
+    q = p ** (k - 1)
     core = []
     for n in range(1, p):
         v = core_by_recurrence(p, n, k)
-        if v != pow(n, p ** (k - 1), m):  # cross-check ladder vs direct
+        if v != pow(n, q, m):  # cross-check ladder vs direct
             raise CheckFailure(f"core ladder mismatch at p={p}, k={k}, n={n}")
         core.append(v)
     carries = tuple(fst_carry(p, n) for n in range(1, p))
     ext = [0] + core + [0]  # A(0) = 0 and A(p) = 0 close the period
     increments = tuple((ext[n + 1] - ext[n]) % m for n in range(p))
-    return CoreTable(mod=mod, core=tuple(core), carries=carries, increments=increments)
+    return CoreTable(
+        mod=mod,
+        core=tuple(core),
+        carries=carries,
+        increments=increments,
+        distinct_increments=frozenset(increments[1 : (p + 1) // 2]),
+    )
+
+
+def core_members(mod: PrimePowerModulus) -> set[int]:
+    """The core A_k as a set: the p-1 residues with n^p = n mod p^k."""
+    mod.require_tables()
+    return set(build_core_table(mod).core)
+
+
+def core_extension_members(mod: PrimePowerModulus, e: int) -> set[int]:
+    """X^(e) = A_k * Y^(e) as an explicit set, |X^(e)| = (p-1)*p^e.
+
+    Y^(e) consists of the residues m*p^(k-e)+1, the cyclic subgroup of
+    B_k generated by p^(k-e)+1.
+    """
+    mod.require_tables()
+    if not 0 <= e <= mod.k - 1:
+        raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
+    m = mod.modulus
+    step = mod.p ** (mod.k - e)
+    ys = [(j * step + 1) % m for j in range(mod.p ** e)]
+    return {a * y % m for a in build_core_table(mod).core for y in ys}
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,12 @@ class BadConfig(PkcoreError):
     exit_code = EXIT_BAD_INPUT
 
 
+class BadCheckpoint(PkcoreError):
+    """A scan checkpoint is unreadable or was written by a different scan."""
+
+    exit_code = EXIT_BAD_INPUT
+
+
 class FactorizationFailure(PkcoreError):
     exit_code = EXIT_FACTORIZATION
 

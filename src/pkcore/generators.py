@@ -15,12 +15,13 @@ from mod p^2 to higher precision.
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .corefst import fst_carry
-from .errors import CheckFailure, OutOfRange
+from .corefst import build_core_table, fst_carry
+from .errors import BadCheckpoint, CheckFailure, OutOfRange
 from .modring import PrimePowerModulus, Residue, make_modulus, multiplicative_order
 from .primes import divisors, divisors_from_factorization, factorize, primes_in_range
 
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 SCAN_BLOCK = 1 << 20
+CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,11 @@ class DivisorAudit:
     is_core_mod_p2: bool
     is_core_mod_p3: bool
     sign_trivial: bool  # r = +-1 mod the audit modulus, core for sign reasons
+
+    @property
+    def exceptional(self) -> bool:
+        """r^p = r mod p^2 for a reason other than r = +-1."""
+        return self.is_core_mod_p2 and not self.sign_trivial
 
 
 def _audit_one(r: int, cofactor: int, mod3: PrimePowerModulus) -> DivisorAudit:
@@ -104,7 +111,7 @@ def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
 
 def exceptional(audits: list[DivisorAudit]) -> list[DivisorAudit]:
     """The audits passing the mod-p^2 congruence for non-sign reasons."""
-    return [a for a in audits if a.is_core_mod_p2 and not a.sign_trivial]
+    return [a for a in audits if a.exceptional]
 
 
 def exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
@@ -148,6 +155,22 @@ def _wieferich_block(args: tuple[int, int, int]) -> list[int]:
     return hits
 
 
+def _read_checkpoint(path: str, base: int) -> int:
+    """The next start stored in a wieferich_scan checkpoint for this base."""
+    try:
+        with open(path) as fh:
+            state = json.loads(fh.read())
+    except (OSError, ValueError):
+        state = None
+    # a bare decimal line is the unversioned old format, refused like any other
+    versioned = isinstance(state, dict) and state.get("version") == CHECKPOINT_VERSION
+    if not versioned or type(state.get("next")) is not int:
+        raise BadCheckpoint(f"checkpoint {path} is not a version-{CHECKPOINT_VERSION} wieferich checkpoint")
+    if state.get("base") != base:
+        raise BadCheckpoint(f"checkpoint {path} was written by a base-{state.get('base')} scan, not base {base}")
+    return state["next"]
+
+
 def wieferich_scan(
     p_max: int,
     base: int = 2,
@@ -159,16 +182,16 @@ def wieferich_scan(
 
     Scans sieve blocks in order; with a checkpoint path, resumes from
     the stored block boundary and rewrites it after each completed
-    block (single decimal line). Parallel jobs split blocks across
-    processes with results merged in block order.
+    block (one JSON line: version, base, next start; a checkpoint of
+    another base or format raises BadCheckpoint instead of skipping
+    work). Parallel jobs split blocks across processes with results
+    merged in block order.
     """
     if base < 2:
         raise OutOfRange("base must be >= 2")
     start = 2
     if checkpoint and os.path.exists(checkpoint):
-        text = open(checkpoint).read().strip()
-        if text:
-            start = max(start, int(text))
+        start = max(start, _read_checkpoint(checkpoint, base))
     blocks = []
     lo = start
     while lo <= p_max:
@@ -181,8 +204,9 @@ def wieferich_scan(
         hits.extend(block_hits)
         if checkpoint:
             tmp = checkpoint + ".tmp"
+            state = {"version": CHECKPOINT_VERSION, "base": base, "next": done_hi + 1}
             with open(tmp, "w") as fh:
-                fh.write(f"{done_hi + 1}\n")
+                fh.write(json.dumps(state) + "\n")
             os.replace(tmp, checkpoint)
 
     if jobs <= 1:
@@ -203,8 +227,7 @@ def corollary_check(p: int, k_max: int = 4, samples: int = 8) -> bool:
         raise OutOfRange("needs p >= 5 so that 2 and 3 are units")
     for k in range(3, k_max + 1):
         m = p ** k
-        q = p ** (k - 1)
-        cores = [pow(x, q, m) for x in range(1, min(p, samples + 1))]
+        cores = build_core_table(make_modulus(p, k, arithmetic_only=True)).core[:samples]
         for n in (2, 3):
             inv = pow(n, -1, m)
             quad = (n % m, -n % m, inv, -inv % m)

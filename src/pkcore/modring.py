@@ -7,6 +7,10 @@ B_k = {units = 1 mod p} of order p^(k-1), generated by p+1. Between A_k
 and G_k sit the core extensions X^(e) = A_k * Y^(e) with Y^(e) generated
 by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
+Here live the moduli, residues, orders and F_k in closed form (the
+preimage of A_q, q = p^min(k, 2)). The core A_k and the extensions
+X^(e) are built in corefst, from its cached per-modulus core table.
+
 This module also owns the base-p text codec used by the CLI: fixed-width
 strings, most significant digit first, digits 0-9 then a-z for p <= 36,
 dot-separated decimal digit groups for larger p.
@@ -120,28 +124,6 @@ class Residue:
         return self.value
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
-    kind: str  # core | extension | pthPowers | coreExtension | extSubgroup | fullUnits
-    e: int
-    order: int
-
-
-def subgroup_descriptor(mod: PrimePowerModulus, kind: str, e: int = 0) -> SubgroupDescriptor:
-    p, k = mod.p, mod.k
-    orders = {
-        "core": p - 1,
-        "extension": p ** (k - 1),
-        "pthPowers": (p - 1) * p ** (k - 2) if k >= 2 else p - 1,
-        "coreExtension": (p - 1) * p ** e,
-        "extSubgroup": p ** e,
-        "fullUnits": mod.units_order,
-    }
-    if kind not in orders:
-        raise BadExponent(f"unknown subgroup kind {kind!r}")
-    return SubgroupDescriptor(kind=kind, e=e, order=orders[kind])
-
-
 @lru_cache(maxsize=1024)
 def _unit_group_primes_mod_p(p: int) -> tuple[int, ...]:
     """The primes dividing p-1, the order of the units mod p."""
@@ -172,28 +154,6 @@ def multiplicative_order(n: Residue) -> int:
         rest //= p
         j += 1
     return d * p ** (k - j)
-
-
-def core_members(mod: PrimePowerModulus) -> set[int]:
-    """The core A_k as a set: the p-1 residues with n^p = n mod p^k."""
-    mod.require_tables()
-    q = mod.p ** (mod.k - 1)
-    return {pow(n, q, mod.modulus) for n in range(1, mod.p)}
-
-
-def core_extension_members(mod: PrimePowerModulus, e: int) -> set[int]:
-    """X^(e) = A_k * Y^(e) as an explicit set, |X^(e)| = (p-1)*p^e.
-
-    Y^(e) consists of the residues m*p^(k-e)+1, the cyclic subgroup of
-    B_k generated by p^(k-e)+1.
-    """
-    mod.require_tables()
-    if not 0 <= e <= mod.k - 1:
-        raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
-    m = mod.modulus
-    step = mod.p ** (mod.k - e)
-    ys = [(j * step + 1) % m for j in range(mod.p ** e)]
-    return {a * y % m for a in core_members(mod) for y in ys}
 
 
 def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:

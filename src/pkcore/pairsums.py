@@ -15,14 +15,19 @@ from the core itself to the p-th powers F. Counting facts verified here:
 F+F also contains 0 and, for k >= 3, nonzero multiples of p^2 (two
 p-th powers with cancelling cores). Those non-unit sums are counted and
 reported separately; they are not part of the coset identity.
+
+The core, X^(e) and D_k all come from corefst's cached core table (D_k
+at precision 2 from the table of p^2); nothing here computes a core
+element itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
-from .corefst import build_core_table, critical_precision
-from .modring import PrimePowerModulus, core_extension_members
+from .corefst import build_core_table, core_extension_members, critical_precision
+from .modring import PrimePowerModulus, make_modulus
 from .waring import _tile, reduced_sumsets
 
 __all__ = [
@@ -34,31 +39,23 @@ __all__ = [
 ]
 
 
-def _distinct_count_at(p: int, k: int) -> int:
-    m = p ** k
-    q = p ** (k - 1)
-    core = [0] + [pow(n, q, m) for n in range(1, p)]
-    h = (p - 1) // 2
-    return len({(core[n + 1] - core[n]) % m for n in range(1, h + 1)})
-
-
 def core_pairsum_count(mod: PrimePowerModulus) -> tuple[int, int]:
     """(observed, predicted) distinct nonzero sums of two core elements.
 
     Predicted is (p-1)^2/2 at or above critical precision, |A| * |D_k|
-    below it. Exhaustive over the (p-1)^2 pairs.
+    below it. Exhaustive over the (p-1)p/2 pairs a <= b.
     """
     mod.require_tables()
     p, m = mod.p, mod.modulus
-    core = sorted({pow(n, p ** (mod.k - 1), m) for n in range(1, p)})
-    sums = {(a + b) % m for a in core for b in core}
+    table = build_core_table(mod)
+    sums = {(a + b) % m for a, b in combinations_with_replacement(table.core, 2)}
     sums.discard(0)
     observed = len(sums)
     kp = critical_precision(p).kp
     if mod.k >= kp:
         predicted = (p - 1) ** 2 // 2
     else:
-        predicted = (p - 1) * _distinct_count_at(p, mod.k)
+        predicted = (p - 1) * len(table.distinct_increments)
     return observed, predicted
 
 
@@ -90,7 +87,7 @@ def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
     s2 = levels[1]
     lift = mod.modulus // q
     nonunit_classes = (s2 & _tile(1, p, q)).bit_count()
-    d2 = _distinct_count_at(p, 2)
+    d2 = len(build_core_table(make_modulus(p, 2, arithmetic_only=True)).distinct_increments)
     return FermatPairsumResult(
         observed=lift * (s2.bit_count() - nonunit_classes),
         predicted=mod.pth_power_order * d2,
@@ -117,15 +114,10 @@ def extension_pairsum_check(mod: PrimePowerModulus, e: int) -> ExtensionPairsumV
     mod.require_tables()
     m = mod.modulus
     x = sorted(core_extension_members(mod, e))
-    sums: set[int] = set()
-    for i, a in enumerate(x):
-        for b in x[i:]:
-            sums.add((a + b) % m)
+    sums = {(a + b) % m for a, b in combinations_with_replacement(x, 2)}
     units = {s for s in sums if s % mod.p}
-    table = build_core_table(mod)
-    dks = set(table.increments[1 : mod.p - 1])
     union: set[int] = set()
-    for d in dks:
+    for d in build_core_table(mod).distinct_increments:
         union.update(v * d % m for v in x)
     return ExtensionPairsumVerdict(
         mod=mod,

@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 
 from pkcore import corefst
+from pkcore.corefst import core_members
 from pkcore.modring import (
     Residue,
     base_p_decode,
     base_p_encode,
-    core_members,
     decompose_unit,
     is_core,
     make_modulus,

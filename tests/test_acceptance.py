@@ -181,7 +181,7 @@ def test_criterion_9_wieferich():
     elapsed = time.perf_counter() - t0
     ok = hits == [1093, 3511] and elapsed < 10
     _line(9, ok, f"base-2 scan to 1e4 finds exactly {hits} in {elapsed:.2f}s "
-                 f"(1e7 run lives in scripts/scan_wieferich.py, not CI)")
+                 f"(1e7 run: pkcore scan wieferich --to 10000000 --checkpoint F, not CI)")
     assert ok
 
 

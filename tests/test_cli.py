@@ -2,7 +2,9 @@ import json
 
 import oracles
 import pkcore.cli
+from pkcore import corefst
 from pkcore.cli import main, parse_jsonl, render_human
+from pkcore.errors import CheckFailure
 from pkcore.modring import base_p_decode, make_modulus
 from pkcore.primes import primes_in_range
 
@@ -69,6 +71,23 @@ def test_kp_values_above_2000(capsys):
     assert {r["p"]: r["kp"] for r in recs} == {r["p"]: oracles.naive_critical_precision(r["p"]) for r in recs}
 
 
+def test_kp_check_failure_exits_2(monkeypatch, capsys):
+    real = corefst.critical_precision
+
+    def violated_at_7(p):
+        if p == 7:
+            raise CheckFailure("critical precision bound violated: K_7 = 7 >= p")
+        return real(p)
+
+    monkeypatch.setattr(corefst, "critical_precision", violated_at_7)
+    code, out, _ = run(capsys, "kp", "--to", "20", "--format", "jsonl")
+    assert code == 2
+    recs = {r["p"]: r for r in map(json.loads, out.splitlines())}
+    assert list(recs) == primes_in_range(3, 20)
+    assert "K_7" in recs[7]["warning"] and "kp" not in recs[7]
+    assert all(r["kp"] == real(p).kp for p, r in recs.items() if p != 7)
+
+
 def test_parser_built_once(monkeypatch, capsys):
     built = []
     real = pkcore.cli.build_parser
@@ -131,7 +150,7 @@ def test_wieferich_checkpoint_resume(tmp_path, capsys):
     cp = str(tmp_path / "scan.ckpt")
     code, out1, _ = run(capsys, "scan", "wieferich", "--to", "2000", "--checkpoint", cp)
     assert code == 0 and "1093" in out1
-    stored = int(open(cp).read().strip())
+    stored = json.loads(open(cp).read())["next"]
     assert stored > 2000
     code, out2, _ = run(capsys, "scan", "wieferich", "--to", "10000", "--checkpoint", cp)
     assert code == 0
@@ -147,8 +166,33 @@ def test_checkpoint_format(tmp_path, capsys):
     cp = tmp_path / "w.ckpt"
     run(capsys, "scan", "wieferich", "--to", "1500", "--checkpoint", str(cp))
     text = cp.read_text()
-    assert text.endswith("\n")
-    assert text[:-1].isdigit()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == {"version": 1, "base": 2, "next": 1501}
+
+
+def test_checkpoint_refused_unless_same_scan(tmp_path, capsys):
+    cp = tmp_path / "w.ckpt"
+    code, _, _ = run(capsys, "scan", "wieferich", "--to", "5000", "--checkpoint", str(cp))
+    assert code == 0
+    # a base-3 run must not resume a base-2 checkpoint: it would skip [2, 5000] and miss 11
+    code, out, err = run(
+        capsys, "scan", "wieferich", "--to", "5000", "--base", "3", "--checkpoint", str(cp)
+    )
+    assert code == 6 and str(cp) in err and "base-2" in err and out == ""
+    code, out, _ = run(capsys, "scan", "wieferich", "--to", "5000", "--base", "3", "--format", "jsonl")
+    assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [11]
+    refused = (
+        "5001\n",  # the old bare-decimal format
+        "not a checkpoint\n",
+        "",
+        '{"version": 2, "base": 2, "next": 5001}\n',
+        '{"version": 1, "base": 2}\n',
+        '{"version": 1, "next": 5001}\n',
+    )
+    for text in refused:
+        cp.write_text(text)
+        code, _, err = run(capsys, "scan", "wieferich", "--to", "6000", "--checkpoint", str(cp))
+        assert code == 6 and str(cp) in err, text
 
 
 def test_scan_jobs_parity(capsys):

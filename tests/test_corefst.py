@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from pkcore import corefst
 from pkcore.corefst import (
     build_core_table,
     core_by_recurrence,
@@ -14,6 +15,7 @@ from pkcore.corefst import (
 )
 from pkcore.errors import OutOfRange
 from pkcore.modring import Residue, base_p_encode, make_modulus
+from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
 
 
 def enc(x, p, k):
@@ -62,6 +64,45 @@ def test_core_table_11_3_golden():
     assert [enc(x, 11, 3) for x in table.increments] == [
         "001", "4a1", "711", "871", "661", "061", "661", "871", "711", "4a1", "001",
     ]
+    # K_11 = 3, so the h = 5 first-half increments are distinct
+    d3 = sorted(enc(x, 11, 3) for x in table.distinct_increments)
+    assert d3 == ["061", "4a1", "661", "711", "871"]
+
+
+def test_core_table_built_once_per_modulus():
+    mod = make_modulus(13, 3)
+    table = build_core_table(mod)
+    assert build_core_table(mod) is table
+    assert build_core_table(make_modulus(13, 3)) is table  # equal descriptors share it
+    assert build_core_table(make_modulus(13, 2)) is not table
+
+
+def test_distinct_increments_match_naive():
+    """D_k is the set of all of d_k(1..p-2), not only of the first half, and
+    has the naive size. naive_core_element scans the p^(k-1) lifts of n, so
+    the naive count runs where p^k <= 10^6 (every k <= 3, and k = 4 up to
+    p = 31); every cell with k >= 2 checks |D_k| = h exactly from k = K_p on."""
+    for p in (q for q in range(3, 101) if oracles.naive_is_prime(q)):
+        h = (p - 1) // 2
+        kp = oracles.naive_critical_precision(p)
+        for k in (1, 2, 3, 4):
+            table = build_core_table(make_modulus(p, k, arithmetic_only=True))
+            dk = table.distinct_increments
+            assert dk == set(table.increments[1 : p - 1]), (p, k)
+            assert k == 1 or (len(dk) == h) == (k >= kp), (p, k)
+            m = p**k
+            if m <= 10**6:
+                core = [oracles.naive_core_element(p, k, n) for n in range(1, h + 2)]
+                assert len(dk) == len({(b - a) % m for a, b in zip(core, core[1:])}), (p, k)
+
+
+def test_core_table_cached_once_per_cell():
+    mod = make_modulus(11, 4)
+    corefst._core_table.cache_clear()
+    core_pairsum_count(mod)
+    extension_pairsum_check(mod, 1)
+    info = corefst._core_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_core_table_increment_sum_closes():

@@ -3,19 +3,17 @@ import random
 import pytest
 
 import oracles
+from pkcore.corefst import core_extension_members, core_members
 from pkcore.errors import BadDigit, BadExponent, EvenPrime, NotPrime, Oversize, WrongLength
 from pkcore.modring import (
     Residue,
     base_p_decode,
     base_p_encode,
-    core_extension_members,
-    core_members,
     decompose_unit,
     is_core,
     make_modulus,
     multiplicative_order,
     pth_power_members,
-    subgroup_descriptor,
 )
 
 
@@ -44,14 +42,9 @@ def test_orders():
     mod = make_modulus(11, 3)
     assert mod.units_order == 10 * 121
     assert mod.ext_order == 121
-    for kind, expect in [
-        ("core", 10),
-        ("extension", 121),
-        ("pthPowers", 110),
-        ("fullUnits", 1210),
-    ]:
-        assert subgroup_descriptor(mod, kind).order == expect, kind
-    assert subgroup_descriptor(mod, "coreExtension", e=1).order == 110
+    assert mod.pth_power_order == 110
+    assert len(core_members(mod)) == 10
+    assert len(core_extension_members(mod, 1)) == 110
 
 
 def test_residue_ops():

@@ -1,8 +1,8 @@
 import itertools
 
 import oracles
-from pkcore.corefst import critical_precision
-from pkcore.modring import core_members, make_modulus, pth_power_members
+from pkcore.corefst import core_members, critical_precision
+from pkcore.modring import make_modulus, pth_power_members
 from pkcore.pairsums import (
     core_pairsum_count,
     extension_pairsum_check,
