@@ -246,8 +246,8 @@ def cmd_kp(args, cfg) -> Report:
 
 def cmd_pairsums(args, cfg) -> Report:
     mod = make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
-    observed, predicted = pairsums.core_pairsum_count(mod)
     kp = corefst.critical_precision(args.p).kp
+    observed, predicted = pairsums.core_pairsum_count(mod, kp=kp)
     core_row = {
         "kind": "core",
         "observed": observed,

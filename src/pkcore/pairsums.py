@@ -16,6 +16,18 @@ F+F also contains 0 and, for k >= 3, nonzero multiples of p^2 (two
 p-th powers with cancelling cores). Those non-unit sums are counted and
 reported separately; they are not part of the coset identity.
 
+The core count and the extension check add no pairs. Each X = X^(e) is
+a subgroup of the cyclic unit group G_k, so X+X = X*(1+X):
+
+  x + y = x*(1 + y/x) with y/x in X, hence the unit part of X+X is the
+  union of the cosets X*(1+u) over the u in X with 1+u a unit.
+
+In a cyclic group the kernel of z -> z^|X| is the unique subgroup of
+order |X|, which is X, so z^|X| mod p^k labels the coset X*z. The unit
+part of X+X is then |X| times the number of labels (1+u)^|X|, one
+modular power per element of X instead of |X|^2/2 additions; the core
+count is the e = 0 case.
+
 The core, X^(e) and D_k all come from corefst's cached core table (D_k
 at precision 2 from the table of p^2); nothing here computes a core
 element itself.
@@ -23,8 +35,8 @@ element itself.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .corefst import build_core_table, core_extension_members, critical_precision
 from .modring import PrimePowerModulus, make_modulus
@@ -39,19 +51,28 @@ __all__ = [
 ]
 
 
-def core_pairsum_count(mod: PrimePowerModulus) -> tuple[int, int]:
+def _sum_labels(x: Collection[int], mod: PrimePowerModulus) -> set[int]:
+    """Coset labels (1+u)^|x| of the unit sums 1+u, u in the subgroup x:
+    the cosets whose union is the unit part of x+x."""
+    p, m, size = mod.p, mod.modulus, len(x)
+    return {pow(1 + u, size, m) for u in x if (1 + u) % p}
+
+
+def core_pairsum_count(mod: PrimePowerModulus, *, kp: int | None = None) -> tuple[int, int]:
     """(observed, predicted) distinct nonzero sums of two core elements.
 
     Predicted is (p-1)^2/2 at or above critical precision, |A| * |D_k|
-    below it. Exhaustive over the (p-1)p/2 pairs a <= b.
+    below it. Observed is |A| times the number of coset labels of A+A
+    (the e = 0 case of extension_pairsum_check); every nonzero core sum
+    is a unit, so there is nothing else to count. kp, if given, is the
+    critical precision K_p, which is otherwise computed here.
     """
     mod.require_tables()
-    p, m = mod.p, mod.modulus
+    p = mod.p
     table = build_core_table(mod)
-    sums = {(a + b) % m for a, b in combinations_with_replacement(table.core, 2)}
-    sums.discard(0)
-    observed = len(sums)
-    kp = critical_precision(p).kp
+    observed = (p - 1) * len(_sum_labels(table.core, mod))
+    if kp is None:
+        kp = critical_precision(p).kp
     if mod.k >= kp:
         predicted = (p - 1) ** 2 // 2
     else:
@@ -109,20 +130,23 @@ def extension_pairsum_check(mod: PrimePowerModulus, e: int) -> ExtensionPairsumV
     X^(e)*d over the distinct core increments d in D_k.
 
     The same generator set serves every extension level; e = 0 is the
-    core statement, e = k-2 the p-th power one.
+    core statement, e = k-2 the p-th power one. One pass over X: since
+    x + y = x*(1 + y/x), the unit sums are the cosets X*(1+u), u in X,
+    1+u a unit; and z^|X| labels the coset X*z, because in the cyclic
+    G_k the kernel of z -> z^|X| is the one subgroup of order |X|. So
+    the check compares {(1+u)^|X|} with {d^|X| : d in D_k}, and each
+    count is |X| times its number of labels.
     """
     mod.require_tables()
     m = mod.modulus
-    x = sorted(core_extension_members(mod, e))
-    sums = {(a + b) % m for a, b in combinations_with_replacement(x, 2)}
-    units = {s for s in sums if s % mod.p}
-    union: set[int] = set()
-    for d in build_core_table(mod).distinct_increments:
-        union.update(v * d % m for v in x)
+    x = core_extension_members(mod, e)
+    size = len(x)
+    labels = _sum_labels(x, mod)
+    gens = {pow(d, size, m) for d in build_core_table(mod).distinct_increments}
     return ExtensionPairsumVerdict(
         mod=mod,
         e=e,
-        passed=units == union,
-        unit_sum_count=len(units),
-        coset_union_count=len(union),
+        passed=labels == gens,
+        unit_sum_count=size * len(labels),
+        coset_union_count=size * len(gens),
     )

@@ -205,3 +205,17 @@ def fermat_pairsum_counts(p: int, k: int) -> tuple[int, int]:
     units = sum(1 for x in range(m) if bits[x] == "1" and x % p)
     nonunit_nonzero = sum(1 for x in range(p, m, p) if bits[x] == "1")
     return units, nonunit_nonzero
+
+
+def naive_extension_pairsum_check(p: int, k: int, e: int) -> tuple[bool, int, int]:
+    """(passed, unit_sum_count, coset_union_count) for X = X^(e) by the
+    pair loop: the unit sums of X+X against the union of the cosets X*d,
+    d running over the increments A(n+1) - A(n), n = 1..p-2."""
+    m = p**k
+    core = {x % p: x for x in naive_core_set(p, k)}  # n -> A_k(n)
+    step = p ** (k - e)
+    x = {a * (1 + j * step) % m for a in core.values() for j in range(p**e)}
+    increments = {(core[n + 1] - core[n]) % m for n in range(1, p - 1)}
+    units = naive_unit_pairsums(x, p, m)
+    union = {v * d % m for d in increments for v in x}
+    return units == union, len(units), len(union)

@@ -2,6 +2,7 @@ import json
 
 import oracles
 import pkcore.cli
+import pkcore.pairsums
 from pkcore import corefst
 from pkcore.cli import main, parse_jsonl, render_human
 from pkcore.errors import CheckFailure
@@ -86,6 +87,23 @@ def test_kp_check_failure_exits_2(monkeypatch, capsys):
     assert list(recs) == primes_in_range(3, 20)
     assert "K_7" in recs[7]["warning"] and "kp" not in recs[7]
     assert all(r["kp"] == real(p).kp for p, r in recs.items() if p != 7)
+
+
+def test_pairsums_computes_kp_once(monkeypatch, capsys):
+    calls = []
+    real = corefst.critical_precision
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    # pairsums holds its own reference, so count through both names
+    monkeypatch.setattr(corefst, "critical_precision", counted)
+    monkeypatch.setattr(pkcore.pairsums, "critical_precision", counted)
+    for p, k in [(7, 3), (11, 2), (13, 4)]:
+        calls.clear()
+        code, _, _ = run(capsys, "pairsums", "-p", str(p), "-k", str(k))
+        assert code == 0 and calls == [p], (p, k, calls)
 
 
 def test_parser_built_once(monkeypatch, capsys):

@@ -91,3 +91,23 @@ def test_fermat_counts_match_exhaustive():
     for p, k in cells:
         r = fermat_pairsum_count(make_modulus(p, k))
         assert (r.observed, r.nonunit_nonzero) == oracles.fermat_pairsum_counts(p, k), (p, k)
+
+
+def test_extension_matches_pair_oracle():
+    # every level e, X = G at e = k-1 included, of every cell with p^k <= 20000
+    # and |X^(e)| <= 1500; p < 200 leaves out only k = 1 cells (X = G, D_1 = {1}),
+    # whose pair loops up to p = 1499 would cost about 9 s
+    primes = [p for p in range(3, 200) if oracles.naive_is_prime(p)]
+    cells = [
+        (p, k, e)
+        for p in primes
+        for k in range(1, 10)
+        if p**k <= 20000
+        for e in range(k)
+        if (p - 1) * p**e <= 1500
+    ]
+    assert len(cells) == 166 and (11, 4, 2) in cells and (3, 1, 0) in cells
+    for p, k, e in cells:
+        v = extension_pairsum_check(make_modulus(p, k), e)
+        got = (v.passed, v.unit_sum_count, v.coset_union_count)
+        assert got == oracles.naive_extension_pairsum_check(p, k, e), (p, k, e)
