@@ -6,6 +6,10 @@ Report (schema_version, command, p, k, rows) and renders it as human
 text (residues in base-p), jsonl (one self-describing record per row),
 or csv. Timing goes to stderr so stdout stays stable.
 
+kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
+--checkpoint for scans). --jobs is accepted by kp and scan only,
+--table-bound only by the commands that take -p and -k.
+
 Config precedence for table_bound/format/jobs/base:
 flags > PKCORE_* environment > key=value config file > defaults.
 The config file path comes from PKCORE_CONFIG, else ./pkcore.conf.
@@ -19,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import corefst, generators, pairsums, waring
 from .errors import (
@@ -38,7 +43,6 @@ from .modring import (
     make_modulus,
 )
 from .modring import _DIGITS as DIGIT_CHARS
-from .primes import primes_in_range
 
 SCHEMA_VERSION = 1
 
@@ -230,18 +234,17 @@ def cmd_increments(args, cfg) -> Report:
     return Report(command="increments", rows=rows, p=args.p, k=args.k)
 
 
+def _kp_row(p: int) -> dict:
+    try:
+        res = corefst.critical_precision(p)
+    except CheckFailure as exc:  # a theorem violation: report the row, exit 2
+        return {"p": p, "warning": str(exc)}
+    return {"p": p, "kp": res.kp, "profile": {str(a): b for a, b in res.distinct_counts.items()}}
+
+
 def cmd_kp(args, cfg) -> Report:
-    rows = []
-    failed = False
-    for p in primes_in_range(max(args.start, 3), args.to):
-        try:
-            res = corefst.critical_precision(p)
-        except CheckFailure as exc:  # a theorem violation: report the row, exit 2
-            rows.append({"p": p, "warning": str(exc)})
-            failed = True
-            continue
-        rows.append({"p": p, "kp": res.kp, "profile": {str(a): b for a, b in res.distinct_counts.items()}})
-    return Report(command="kp", rows=rows, check_failed=failed)
+    rows = generators.scan_primes(_kp_row, max(args.start, 3), args.to, jobs=cfg["jobs"])
+    return Report(command="kp", rows=rows, check_failed=any("warning" in row for row in rows))
 
 
 def cmd_pairsums(args, cfg) -> Report:
@@ -299,62 +302,46 @@ def cmd_waring(args, cfg) -> Report:
 
 def cmd_divisors(args, cfg) -> Report:
     audits = generators.audit_divisors(args.p, assert_non_core=False)
-    rows = []
-    failed = False
-    for a in audits:
-        rows.append(
-            {
-                "r": a.r,
-                "cofactor": a.cofactor,
-                "order_g3": a.order_in_g3,
-                "core_mod_p2": a.is_core_mod_p2,
-                "core_mod_p3": a.is_core_mod_p3,
-                "sign_trivial": a.sign_trivial,
-                "classification": "exceptional" if a.exceptional else "regular",
-            }
-        )
-        failed = failed or a.is_core_mod_p3
+    rows = [
+        {
+            "r": a.r,
+            "cofactor": a.cofactor,
+            "order_g3": a.order_in_g3,
+            "core_mod_p2": a.is_core_mod_p2,
+            "core_mod_p3": a.is_core_mod_p3,
+            "sign_trivial": a.sign_trivial,
+            "classification": "exceptional" if a.exceptional else "regular",
+        }
+        for a in audits
+    ]
+    failed = any(a.is_core_mod_p3 for a in audits)
     return Report(command="divisors", rows=rows, p=args.p, k=None, check_failed=failed)
 
 
+def _note4_row(k: int, p: int) -> dict:
+    """The best generator of p-1 and p+1's divisors: a primitive root, else a half-group one."""
+    good = [v for v in generators.survey_pm1_generators(p, k).verdicts if v.klass != "other"]
+    best = min(good, key=lambda v: v.klass != "primitiveRoot", default=None)  # min keeps the first tie
+    if best is None:
+        return {"p": p, "g": 0, "order": 0, "classification": "counterexample"}
+    return {"p": p, "g": best.g, "order": best.order, "classification": best.klass,
+            "minus_one_in_cycle": best.minus_one_in_cycle}
+
+
 def cmd_scan(args, cfg) -> Report:
+    base = cfg["base"]
+    scan = partial(
+        generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=cfg["jobs"], checkpoint=args.checkpoint
+    )
     if args.kind == "wieferich":
-        hits = generators.wieferich_scan(
-            args.to, base=cfg["base"], checkpoint=args.checkpoint, jobs=cfg["jobs"]
-        )
-        rows = [
-            {"p": p, "base": cfg["base"], "residual": 0, "classification": "wieferich"}
-            for p in hits
-        ]
-        return Report(command="scan", rows=rows)
-    if args.kind == "exceptions":
-        pairs = generators.exception_scan(args.start, args.to)
-        rows = [
-            {"p": p, "r": r, "residual": 0, "classification": "exceptional"} for p, r in pairs
-        ]
-        return Report(command="scan", rows=rows)
-    # generator survey over divisors of p-1 and p+1
-    rows = []
-    failed = False
-    for p in primes_in_range(max(args.start, 3), args.to):
-        survey = generators.survey_pm1_generators(p, args.k)
-        best = next(
-            (v for v in survey.verdicts if v.klass == "primitiveRoot"),
-            next((v for v in survey.verdicts if v.klass == "halfGroupNoMinusOne"), None),
-        )
-        if survey.satisfied and best is not None:
-            rows.append(
-                {
-                    "p": p,
-                    "g": best.g,
-                    "order": best.order,
-                    "classification": best.klass,
-                    "minus_one_in_cycle": best.minus_one_in_cycle,
-                }
-            )
-        else:
-            rows.append({"p": p, "g": 0, "order": 0, "classification": "counterexample"})
-            failed = True
+        hits = scan(generators.wieferich_test(base), ident={"base": base})
+        rows = [{"p": p, "base": base, "residual": 0, "classification": "wieferich"} for p in hits]
+    elif args.kind == "exceptions":
+        pairs = scan(generators.exception_row, ident={"kind": "exceptions"})
+        rows = [{"p": p, "r": r, "residual": 0, "classification": "exceptional"} for p, r in pairs]
+    else:
+        rows = scan(partial(_note4_row, args.k), ident={"kind": "note4", "k": args.k})
+    failed = any(row["classification"] == "counterexample" for row in rows)
     return Report(command="scan", rows=rows, check_failed=failed)
 
 
@@ -394,16 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default=None)
-    common.add_argument("--table-bound", dest="table_bound", type=int, default=None)
-    common.add_argument("--jobs", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common_pk(sp, k_default=None):
+    def common_pk(sp):  # the commands that build tables mod p^k
         sp.add_argument("-p", type=int, required=True)
-        if k_default is None:
-            sp.add_argument("-k", type=int, required=True)
-        else:
-            sp.add_argument("-k", type=int, default=k_default)
+        sp.add_argument("-k", type=int, required=True)
+        sp.add_argument("--table-bound", dest="table_bound", type=int, default=None)
 
     sp = sub.add_parser("core", parents=[common], help="core table: values, carries, increments")
     common_pk(sp)
@@ -417,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kp", parents=[common], help="critical precision per prime")
     sp.add_argument("--from", dest="start", type=int, default=3)
     sp.add_argument("--to", type=int, default=100)
+    sp.add_argument("--jobs", type=int, default=None)
     sp.set_defaults(func=cmd_kp)
 
     sp = sub.add_parser("pairsums", parents=[common], help="core and p-th power pairsum counts")
@@ -435,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=("wieferich", "exceptions", "note4"))
     sp.add_argument("--from", dest="start", type=int, default=3)
     sp.add_argument("--to", type=int, required=True)
+    sp.add_argument("--jobs", type=int, default=None)
     sp.add_argument("--base", type=int, default=None)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("-k", type=int, default=3)

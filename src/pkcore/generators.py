@@ -11,17 +11,24 @@ Also here: base-b Wieferich-type scans (b^p = b mod p^2), the quadruple
 non-core checks for n in {2, 3}, the generator survey over divisors of
 p-1 and p+1, audits over divisors of p^(2m)-1, and generator lifting
 from mod p^2 to higher precision.
+
+Every per-prime survey (these scans, the CLI's kp and note4) is a row
+function run by scan_primes, the one prime loop: ordered blocks, a
+process pool under jobs > 1, an optional resumable checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from .corefst import build_core_table, fst_carry
-from .errors import BadCheckpoint, CheckFailure, OutOfRange
+from .errors import BadCheckpoint, BadConfig, CheckFailure, OutOfRange
 from .modring import PrimePowerModulus, Residue, make_modulus, multiplicative_order
 from .primes import divisors, divisors_from_factorization, factorize, primes_in_range
 
@@ -30,8 +37,11 @@ __all__ = [
     "GeneratorVerdict",
     "GeneratorSurvey",
     "audit_divisors",
+    "exception_row",
     "exception_scan",
+    "wieferich_test",
     "wieferich_scan",
+    "scan_primes",
     "corollary_check",
     "survey_pm1_generators",
     "audit_power_divisors",
@@ -114,8 +124,8 @@ def exceptional(audits: list[DivisorAudit]) -> list[DivisorAudit]:
     return [a for a in audits if a.exceptional]
 
 
-def exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
-    """(p, smallest exceptional r) for primes in [p_min, p_max].
+def exception_row(p: int) -> tuple[int, int] | None:
+    """(p, smallest exceptional r), or None when p has no exceptional divisor.
 
     r ranges over divisors of p^2-1 with 1 < r < p^2-1; the omitted
     endpoint is -1 mod p^2 and would match every prime trivially.
@@ -127,36 +137,58 @@ def exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
     the sum of fst_carry(p, q) over its prime factors, built alongside
     the divisor itself.
     """
-    out = []
-    for p in primes_in_range(max(p_min, 3), p_max):
-        rs, carries = [1], [0]  # the divisors so far, each with its carry sum
-        for q, e in _p2_minus_1_factorization(p).items():
-            c = fst_carry(p, q)
-            new_rs, new_carries = list(rs), list(carries)
-            for i in range(1, e + 1):
-                qi, ci = q ** i, i * c
-                new_rs += [r * qi for r in rs]
-                new_carries += [s + ci for s in carries]
-            rs, carries = new_rs, new_carries
-        top = p * p - 1
-        r = min((r for r, s in zip(rs, carries) if s % p == 0 and 1 < r < top), default=0)
-        if r:
-            out.append((p, r))
-    return out
+    rs, carries = [1], [0]  # the divisors so far, each with its carry sum
+    for q, e in _p2_minus_1_factorization(p).items():
+        c = fst_carry(p, q)
+        new_rs, new_carries = list(rs), list(carries)
+        for i in range(1, e + 1):
+            qi, ci = q ** i, i * c
+            new_rs += [r * qi for r in rs]
+            new_carries += [s + ci for s in carries]
+        rs, carries = new_rs, new_carries
+    top = p * p - 1
+    r = min((r for r, s in zip(rs, carries) if s % p == 0 and 1 < r < top), default=0)
+    return (p, r) if r else None
 
 
-def _wieferich_block(args: tuple[int, int, int]) -> list[int]:
-    lo, hi, base = args
-    hits = []
-    for p in primes_in_range(lo, hi):
-        p2 = p * p
-        if pow(base, p, p2) == base % p2:
-            hits.append(p)
-    return hits
+def exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
+    """(p, smallest exceptional r) for primes in [p_min, p_max]; see exception_row."""
+    return scan_primes(exception_row, max(p_min, 3), p_max)
 
 
-def _read_checkpoint(path: str, base: int) -> int:
-    """The next start stored in a wieferich_scan checkpoint for this base."""
+def _wieferich_hit(base: int, p: int) -> int | None:
+    p2 = p * p
+    return p if pow(base, p, p2) == base % p2 else None
+
+
+def wieferich_test(base: int) -> Callable[[int], int | None]:
+    """The row function of the base-b Wieferich scan: p if base^p = base mod p^2, else None."""
+    if base < 2:
+        raise OutOfRange("base must be >= 2")
+    return partial(_wieferich_hit, base)
+
+
+def wieferich_scan(
+    p_max: int, base: int = 2, checkpoint: str | None = None, jobs: int = 1, block: int = SCAN_BLOCK
+) -> list[int]:
+    """Primes 2 <= p <= p_max with base^p = base mod p^2; checkpoint line {"version": 1, "base": B, "next": N}."""
+    return scan_primes(
+        wieferich_test(base), 2, p_max, jobs=jobs, checkpoint=checkpoint, ident={"base": base}, block=block
+    )
+
+
+def _scan_block(args: tuple[Callable[[int], object], int, int]) -> list:
+    row, lo, hi = args
+    return [r for p in primes_in_range(lo, hi) if (r := row(p)) is not None]
+
+
+def _label(fields: dict) -> str:
+    """A scan's identity as text, e.g. "base-2" or "note4 k-3"."""
+    return " ".join(str(v) if key == "kind" else f"{key}-{v}" for key, v in fields.items()) or "unnamed"
+
+
+def _read_checkpoint(path: str, ident: dict) -> int:
+    """The next start stored in a checkpoint written by the scan ident names."""
     try:
         with open(path) as fh:
             state = json.loads(fh.read())
@@ -165,58 +197,45 @@ def _read_checkpoint(path: str, base: int) -> int:
     # a bare decimal line is the unversioned old format, refused like any other
     versioned = isinstance(state, dict) and state.get("version") == CHECKPOINT_VERSION
     if not versioned or type(state.get("next")) is not int:
-        raise BadCheckpoint(f"checkpoint {path} is not a version-{CHECKPOINT_VERSION} wieferich checkpoint")
-    if state.get("base") != base:
-        raise BadCheckpoint(f"checkpoint {path} was written by a base-{state.get('base')} scan, not base {base}")
+        raise BadCheckpoint(f"checkpoint {path} is not a version-{CHECKPOINT_VERSION} scan checkpoint")
+    written = {key: v for key, v in state.items() if key not in ("version", "next")}
+    if written != ident:
+        raise BadCheckpoint(
+            f"checkpoint {path} was written by another scan ({_label(written)}); this scan is {_label(ident)}"
+        )
     return state["next"]
 
 
-def wieferich_scan(
-    p_max: int,
-    base: int = 2,
-    checkpoint: str | None = None,
-    jobs: int = 1,
-    block: int = SCAN_BLOCK,
-) -> list[int]:
-    """Primes p <= p_max with base^p = base mod p^2.
+def scan_primes(
+    row: Callable[[int], object], lo: int, hi: int, *,
+    jobs: int = 1, checkpoint: str | None = None, ident: dict | None = None, block: int = SCAN_BLOCK,
+) -> list:
+    """row(p) for every prime p in [lo, hi], in order, None results dropped.
 
-    Scans sieve blocks in order; with a checkpoint path, resumes from
-    the stored block boundary and rewrites it after each completed
-    block (one JSON line: version, base, next start; a checkpoint of
-    another base or format raises BadCheckpoint instead of skipping
-    work). Parallel jobs split blocks across processes with results
-    merged in block order.
+    Ordered blocks of ceil(n/jobs) numbers, at most block, run on a pool
+    of min(jobs, blocks) processes when jobs > 1 (row must then pickle).
+    A checkpoint is resumed from and rewritten after each block as one
+    line {"version": 1, **ident, "next": N}, ident naming the scan's kind
+    and parameters; one of another scan or format raises BadCheckpoint.
     """
-    if base < 2:
-        raise OutOfRange("base must be >= 2")
-    start = 2
+    if jobs < 1:
+        raise BadConfig(f"jobs = {jobs} must be at least 1")
+    ident = ident or {}
     if checkpoint and os.path.exists(checkpoint):
-        start = max(start, _read_checkpoint(checkpoint, base))
-    blocks = []
-    lo = start
-    while lo <= p_max:
-        hi = min(lo + block - 1, p_max)
-        blocks.append((lo, hi, base))
-        lo = hi + 1
-    hits: list[int] = []
-
-    def _record(done_hi: int, block_hits: list[int]) -> None:
-        hits.extend(block_hits)
-        if checkpoint:
-            tmp = checkpoint + ".tmp"
-            state = {"version": CHECKPOINT_VERSION, "base": base, "next": done_hi + 1}
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(state) + "\n")
-            os.replace(tmp, checkpoint)
-
-    if jobs <= 1:
-        for lo, hi, b in blocks:
-            _record(hi, _wieferich_block((lo, hi, b)))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (lo, hi, b), block_hits in zip(blocks, pool.map(_wieferich_block, blocks)):
-                _record(hi, block_hits)
-    return hits
+        lo = max(lo, _read_checkpoint(checkpoint, ident))
+    size = min(block, max(1, -(-(hi - lo + 1) // jobs)))
+    spans = [(row, a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
+    workers = min(jobs, len(spans))
+    out: list = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_scan_block, spans) if pool else map(_scan_block, spans)
+        for (_, _, end), rows in zip(spans, results):
+            out += rows
+            if checkpoint:
+                with open(checkpoint + ".tmp", "w") as fh:
+                    fh.write(json.dumps({"version": CHECKPOINT_VERSION, **ident, "next": end + 1}) + "\n")
+                os.replace(checkpoint + ".tmp", checkpoint)
+    return out
 
 
 def corollary_check(p: int, k_max: int = 4, samples: int = 8) -> bool:
@@ -257,10 +276,6 @@ class GeneratorSurvey:
     k: int
     verdicts: tuple[GeneratorVerdict, ...]
     satisfied: bool  # some divisor of p-1 or p+1 generates G or half of G
-
-    @property
-    def counterexample(self) -> bool:
-        return not self.satisfied
 
 
 def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:

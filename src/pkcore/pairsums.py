@@ -28,9 +28,10 @@ part of X+X is then |X| times the number of labels (1+u)^|X|, one
 modular power per element of X instead of |X|^2/2 additions; the core
 count is the e = 0 case.
 
-The core, X^(e) and D_k all come from corefst's cached core table (D_k
-at precision 2 from the table of p^2); nothing here computes a core
-element itself.
+The core, X^(e), D_k and the A_q behind the F+F count all come from
+corefst's cached core table (D_k at precision 2 from the table of p^2,
+A_q from that of p^min(k, 2)); nothing here computes a core element
+itself.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 
 from .corefst import build_core_table, core_extension_members, critical_precision
 from .modring import PrimePowerModulus, make_modulus
-from .waring import _tile, reduced_sumsets
 
 __all__ = [
     "FermatPairsumResult",
@@ -94,25 +94,24 @@ class FermatPairsumResult:
 def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
     """Count the unit part of F+F and compare it to |F|*|D_2|.
 
-    F+F is the preimage of S_2, the sumset A_q + A_q in Z/q with
-    q = p^min(k, 2) (see waring), so each class of S_2 counts p^k/q
-    residues. The unit sums form whole F-cosets; their coset generators
-    are the increments read at precision 2, regardless of k. Sums that
-    are zero mod p come from exactly opposite core parts and land on
-    multiples of p^2; they are tallied in nonunit_nonzero, outside the
-    identity.
+    F+F is the preimage of A_q+A_q, A_q the core of Z/q, q = p^min(k, 2),
+    so each class counts p^k/q residues. Its unit part is |A_q| times the
+    coset labels (1+a)^(p-1), as in extension_pairsum_check; the coset
+    generators are the increments at precision 2, regardless of k. Sums
+    that are 0 mod p pair A(n) with A(p-n) and land on multiples of p^2;
+    they are tallied in nonunit_nonzero, outside the identity.
     """
     mod.require_tables()
     p = mod.p
-    q, _, levels = reduced_sumsets(mod, 2)
-    s2 = levels[1]
+    small = make_modulus(p, min(mod.k, 2), arithmetic_only=True)
+    q, core = small.modulus, build_core_table(small).core
     lift = mod.modulus // q
-    nonunit_classes = (s2 & _tile(1, p, q)).bit_count()
+    zero_mod_p = {(a + b) % q for a, b in zip(core, reversed(core))}  # A(n) + A(p-n)
     d2 = len(build_core_table(make_modulus(p, 2, arithmetic_only=True)).distinct_increments)
     return FermatPairsumResult(
-        observed=lift * (s2.bit_count() - nonunit_classes),
+        observed=lift * (p - 1) * len(_sum_labels(core, small)),
         predicted=mod.pth_power_order * d2,
-        nonunit_nonzero=lift * nonunit_classes - (s2 & 1),  # 0 itself is not counted
+        nonunit_nonzero=lift * len(zero_mod_p) - (0 in zero_mod_p),
     )
 
 

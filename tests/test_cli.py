@@ -1,9 +1,11 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import oracles
 import pkcore.cli
 import pkcore.pairsums
-from pkcore import corefst
+import pytest
+from pkcore import corefst, generators
 from pkcore.cli import main, parse_jsonl, render_human
 from pkcore.errors import CheckFailure
 from pkcore.modring import base_p_decode, make_modulus
@@ -211,12 +213,67 @@ def test_checkpoint_refused_unless_same_scan(tmp_path, capsys):
         cp.write_text(text)
         code, _, err = run(capsys, "scan", "wieferich", "--to", "6000", "--checkpoint", str(cp))
         assert code == 6 and str(cp) in err, text
+    # every scan kind names itself and its parameters; another kind or parameter set is refused
+    mismatched = (
+        (("exceptions",), ("wieferich",)),
+        (("wieferich",), ("exceptions",)),
+        (("note4", "-k", "3"), ("note4", "-k", "4")),
+    )
+    for writer, reader in mismatched:
+        cp.unlink()
+        code, _, _ = run(capsys, "scan", *writer, "--to", "200", "--checkpoint", str(cp))
+        assert code == 0 and cp.exists(), writer
+        code, out, err = run(capsys, "scan", *reader, "--to", "400", "--checkpoint", str(cp))
+        assert code == 6 and str(cp) in err and out == "", (writer, reader)
 
 
-def test_scan_jobs_parity(capsys):
-    _, seq, _ = run(capsys, "scan", "wieferich", "--to", "4000", "--jobs", "1")
-    _, par, _ = run(capsys, "scan", "wieferich", "--to", "4000", "--jobs", "2")
-    assert seq == par
+def test_scan_jobs_parity(monkeypatch, capsys):
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(generators, "ProcessPoolExecutor", RecordingPool)
+    for argv in (
+        ("scan", "wieferich", "--to", "4000"),
+        ("scan", "exceptions", "--to", "2000"),
+        ("scan", "note4", "--from", "50", "--to", "300", "-k", "3"),
+        ("kp", "--to", "400"),
+    ):
+        pools.clear()
+        _, seq, _ = run(capsys, *argv, "--jobs", "1", "--format", "jsonl")
+        assert pools == [], argv
+        _, par, _ = run(capsys, *argv, "--jobs", "2", "--format", "jsonl")
+        assert seq == par and seq.count("\n") > 1, argv
+        assert pools == [2], argv  # the second job really ran
+
+
+def test_scan_resume_union_equals_cold_run(tmp_path, capsys):
+    for kind in (("exceptions",), ("note4", "-k", "3")):
+        cp = str(tmp_path / f"{kind[0]}.ckpt")
+        _, first, _ = run(capsys, "scan", *kind, "--to", "200", "--checkpoint", cp, "--format", "jsonl")
+        assert json.loads(open(cp).read())["next"] == 201
+        _, second, _ = run(capsys, "scan", *kind, "--to", "600", "--checkpoint", cp, "--format", "jsonl")
+        _, cold, _ = run(capsys, "scan", *kind, "--to", "600", "--format", "jsonl")
+        assert first and second and first + second == cold, kind
+        assert json.loads(second.splitlines()[0])["p"] > 200
+
+
+def test_scan_honours_from(capsys):
+    code, out, _ = run(capsys, "scan", "wieferich", "--from", "2000", "--to", "4000", "--format", "jsonl")
+    assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [3511]
+
+
+def test_flags_scoped_to_their_commands(capsys):
+    for argv in (("divisors", "-p", "11", "--jobs", "2"), ("kp", "--table-bound", "5")):
+        with pytest.raises(SystemExit) as e:
+            main(list(argv))
+        assert e.value.code == 6 and "unrecognized arguments" in capsys.readouterr().err, argv
+    for argv in (("kp", "--to", "20"), ("scan", "exceptions", "--to", "20")):
+        code, _, err = run(capsys, *argv, "--jobs", "0")
+        assert code == 6 and "jobs" in err, argv
 
 
 def test_config_precedence(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 import pytest
 
 import oracles
-from pkcore.errors import OutOfRange
+from pkcore import generators
+from pkcore.errors import BadConfig, OutOfRange
 from pkcore.generators import (
     audit_divisors,
     audit_power_divisors,
@@ -67,6 +68,39 @@ def test_wieferich_other_base():
 
 def test_wieferich_jobs_parity():
     assert wieferich_scan(4000, jobs=2) == wieferich_scan(4000, jobs=1)
+
+
+def test_pool_capped_at_block_count(monkeypatch):
+    pools = []
+
+    class RecordingPool:  # records the pool size, runs blocks in-process
+        def __init__(self, max_workers):
+            self.max_workers, self.blocks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.blocks = len(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(generators, "ProcessPoolExecutor", RecordingPool)
+    # 11 numbers in [2, 12] make at most 11 blocks, so 64 jobs must not start 64 workers
+    assert wieferich_scan(12, base=5, jobs=64) == [2]
+    assert [(p.max_workers, p.blocks) for p in pools] == [(11, 11)]
+    pools.clear()
+    # more blocks than jobs: the pool keeps the requested size
+    assert wieferich_scan(4000, jobs=2, block=500) == [1093, 3511]
+    assert [(p.max_workers, p.blocks) for p in pools] == [(2, 8)]
+    pools.clear()
+    assert wieferich_scan(4000, jobs=1) == [1093, 3511] and pools == []
+    with pytest.raises(BadConfig):
+        wieferich_scan(100, jobs=0)
 
 
 def test_corollary_check():
