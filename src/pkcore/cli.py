@@ -7,8 +7,10 @@ text (residues in base-p), jsonl (one self-describing record per row),
 or csv. Timing goes to stderr so stdout stays stable.
 
 kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
---checkpoint for scans). --jobs is accepted by kp and scan only,
---table-bound only by the commands that take -p and -k.
+--checkpoint for scans): the Wieferich scan through its batched block
+kernel, kp, exceptions and note4 through per-prime rows. --jobs is
+accepted by kp and scan only, --table-bound only by the commands that
+take -p and -k.
 
 Config precedence for table_bound/format/jobs/base:
 flags > PKCORE_* environment > key=value config file > defaults.
@@ -243,7 +245,7 @@ def _kp_row(p: int) -> dict:
 
 
 def cmd_kp(args, cfg) -> Report:
-    rows = generators.scan_primes(_kp_row, max(args.start, 3), args.to, jobs=cfg["jobs"])
+    rows = generators.scan_primes(generators.per_prime(_kp_row), max(args.start, 3), args.to, jobs=cfg["jobs"])
     return Report(command="kp", rows=rows, check_failed=any("warning" in row for row in rows))
 
 
@@ -337,10 +339,10 @@ def cmd_scan(args, cfg) -> Report:
         hits = scan(generators.wieferich_test(base), ident={"base": base})
         rows = [{"p": p, "base": base, "residual": 0, "classification": "wieferich"} for p in hits]
     elif args.kind == "exceptions":
-        pairs = scan(generators.exception_row, ident={"kind": "exceptions"})
+        pairs = scan(generators.per_prime(generators.exception_row), ident={"kind": "exceptions"})
         rows = [{"p": p, "r": r, "residual": 0, "classification": "exceptional"} for p, r in pairs]
     else:
-        rows = scan(partial(_note4_row, args.k), ident={"kind": "note4", "k": args.k})
+        rows = scan(generators.per_prime(partial(_note4_row, args.k)), ident={"kind": "note4", "k": args.k})
     failed = any(row["classification"] == "counterexample" for row in rows)
     return Report(command="scan", rows=rows, check_failed=failed)
 

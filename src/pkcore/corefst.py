@@ -12,11 +12,14 @@ increments are pairwise distinct mod p^k. It is already determined by the
 differences e_1(n) = (n+1)^p - n^p: distinctness levels of the e_i are
 preserved from each i to the next, so the module computes K_p from e_1
 alone and the tests verify the preservation claim numerically. Only e_1
-mod p^K is needed, for a K at or above K_p: it comes from two modular
-powers per n, with K doubling from 4 until the h values separate, so
-there is no size limit on p. The exact integers (about p*log10(p)
-digits each) survive only as a test oracle. build_core_table, memoised
-per modulus, is the one builder of A_k, its increments and D_k.
+mod p^K is needed, for a K at or above K_p, with K doubling from 4 until
+the h values separate, so there is no size limit on p. The powers n^p
+mod p^K, n <= h+1, come from a power table: n -> n^p is completely
+multiplicative, so a composite n = f*(n/f) costs one product of two
+earlier entries (f from primes.factor_table) and only prime n costs a
+pow. The exact integers (about p*log10(p) digits each) survive only as
+a test oracle. build_core_table, memoised per modulus, is the one
+builder of A_k, its increments and D_k.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from functools import lru_cache
 
 from .errors import BadExponent, CheckFailure, OutOfRange
 from .modring import PrimePowerModulus
+from .primes import factor_table
 
 
 def fst_carry(p: int, n: int) -> int:
@@ -156,6 +160,16 @@ class CriticalPrecisionResult:
     witnesses: dict[int, tuple[int, int]]
 
 
+def _pth_power_table(p: int, top: int, m: int) -> list[int]:
+    """n^p mod m for n = 0..top, a pow at prime n only: (ab)^p = a^p * b^p."""
+    factor = factor_table(top)
+    powers = [0, 1]
+    for n in range(2, top + 1):
+        f = factor[n]
+        powers.append(powers[f] * powers[n // f] % m if f else pow(n, p, m))
+    return powers
+
+
 def critical_precision(p: int) -> CriticalPrecisionResult:
     """Smallest k >= 2 with all of e_1(1..h) pairwise distinct mod p^k.
 
@@ -167,8 +181,8 @@ def critical_precision(p: int) -> CriticalPrecisionResult:
     top = min(4, p)
     while True:
         m = p ** top
-        powers = [pow(n, p, m) for n in range(1, h + 2)]
-        e1 = [(b - a) % m for a, b in zip(powers, powers[1:])]  # e_1(1..h) mod p^top
+        powers = _pth_power_table(p, h + 1, m)
+        e1 = [(b - a) % m for a, b in zip(powers[1:], powers[2:])]  # e_1(1..h) mod p^top
         if len(set(e1)) == h or top == p:
             break
         top = min(2 * top, p)

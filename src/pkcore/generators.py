@@ -12,14 +12,28 @@ non-core checks for n in {2, 3}, the generator survey over divisors of
 p-1 and p+1, audits over divisors of p^(2m)-1, and generator lifting
 from mod p^2 to higher precision.
 
-Every per-prime survey (these scans, the CLI's kp and note4) is a row
-function run by scan_primes, the one prime loop: ordered blocks, a
-process pool under jobs > 1, an optional resumable checkpoint.
+The audits and the survey walk the divisor lattice of the factored
+number: every divisor r comes with r^(p-1) mod p^k at one multiply per
+step and one pow per prime factor, since n -> n^(p-1) is multiplicative.
+Orders then come from the split G_k = A_k * B_k (modring.split_order):
+ord(r) = ord(r mod p) * p^(k - v_p(r^(p-1) - 1)), or ord(r mod p) when
+r^(p-1) = 1.
+
+Every per-prime survey (these scans, the CLI's kp and note4) runs on
+scan_primes, the one prime loop: ordered blocks, a process pool under
+jobs > 1, an optional resumable checkpoint. Its unit is a block kernel,
+rows(primes) -> list; a per-prime row function becomes one through
+per_prime. The Wieferich kernel shares one pow among WIEFERICH_BATCH
+consecutive primes p_0 < ... < p_7: with M = prod p_i^2,
+x = base^p_0 mod M, and stepping x by base^(p_i - p_(i-1)) mod M gives
+base^p_i mod M, whose reduction mod p_i^2 is base^p_i mod p_i^2 exactly,
+for every base >= 2 (p dividing base included).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -27,10 +41,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
-from .corefst import build_core_table, fst_carry
+from .corefst import build_core_table
 from .errors import BadCheckpoint, BadConfig, CheckFailure, OutOfRange
-from .modring import PrimePowerModulus, Residue, make_modulus, multiplicative_order
-from .primes import divisors, divisors_from_factorization, factorize, primes_in_range
+from .modring import Residue, make_modulus, multiplicative_order, split_order
+from .primes import factorize, primes_in_range
 
 __all__ = [
     "DivisorAudit",
@@ -41,6 +55,7 @@ __all__ = [
     "exception_scan",
     "wieferich_test",
     "wieferich_scan",
+    "per_prime",
     "scan_primes",
     "corollary_check",
     "survey_pm1_generators",
@@ -51,6 +66,7 @@ __all__ = [
 
 SCAN_BLOCK = 1 << 20
 CHECKPOINT_VERSION = 1
+WIEFERICH_BATCH = 8  # primes sharing one pow; wider batches lose to the growing modulus M
 
 
 @dataclass(frozen=True)
@@ -71,24 +87,46 @@ class DivisorAudit:
         return self.is_core_mod_p2 and not self.sign_trivial
 
 
-def _audit_one(r: int, cofactor: int, mod3: PrimePowerModulus) -> DivisorAudit:
-    p, p3 = mod3.p, mod3.modulus
-    p2 = p * p
-    rp3 = pow(r, p, p3)
-    rp2 = rp3 % p2
-    rr = r % p3
-    order = multiplicative_order(Residue(rr, mod3)) if rr % p else 0
-    return DivisorAudit(
-        p=p,
-        r=r,
-        cofactor=cofactor,
-        rp_minus_r_mod_p2=(rp2 - r) % p2,
-        rp_minus_r_mod_p3=(rp3 - r) % p3,
-        order_in_g3=order,
-        is_core_mod_p2=rp2 == r % p2,
-        is_core_mod_p3=rp3 == r % p3,
-        sign_trivial=r % p2 in (1, p2 - 1),
-    )
+def _divisor_powers(p: int, fac: dict[int, int], m: int) -> list[tuple[int, int]]:
+    """(r, r^(p-1) mod m) for every divisor r of prod q^e over fac, (1, 1) first.
+
+    One pow per prime factor q; each lattice step r -> r*q then
+    multiplies the power by q^(p-1) mod m.
+    """
+    pairs = [(1, 1)]
+    for q, e in fac.items():
+        w = pow(q, p - 1, m)
+        layer, grown = pairs, list(pairs)
+        for _ in range(e):
+            layer = [(r * q, x * w % m) for r, x in layer]
+            grown += layer
+        pairs = grown
+    return pairs
+
+
+def _audits(p: int, n: int, fac: dict[int, int]) -> list[DivisorAudit]:
+    """The audit of every divisor r > 1 of n = prod q^e over fac (n prime to p).
+
+    r^p = r^(p-1) * r mod p^3, and the order in G_3 is split_order's
+    ord(r mod p) * ord(r^(p-1)), so no divisor costs a pow mod p^3.
+    """
+    p2, p3 = p * p, p ** 3
+    out = []
+    for r, w in sorted(_divisor_powers(p, fac, p3))[1:]:
+        rp3 = w * r % p3
+        rp2 = rp3 % p2
+        out.append(DivisorAudit(
+            p=p,
+            r=r,
+            cofactor=n // r,
+            rp_minus_r_mod_p2=(rp2 - r) % p2,
+            rp_minus_r_mod_p3=(rp3 - r) % p3,
+            order_in_g3=split_order(p, 3, r, w),
+            is_core_mod_p2=rp2 == r % p2,
+            is_core_mod_p3=rp3 == r % p3,
+            sign_trivial=r % p2 in (1, p2 - 1),
+        ))
+    return out
 
 
 def _p2_minus_1_factorization(p: int) -> dict[int, int]:
@@ -106,17 +144,16 @@ def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
     needed, including r = p^2-1 whose p-th power is -1, not itself);
     with assert_non_core a violation raises CheckFailure. The mod-p^2
     flag is informational; exceptional cases are the non-sign-trivial
-    ones, read off via the exceptional() helper.
+    ones, read off via the exceptional() helper. The divisors and their
+    (p-1)-th powers come off the lattice of p^2-1 (module docstring).
     """
-    n = p * p - 1
-    mod3 = make_modulus(p, 3, arithmetic_only=True)
-    out = []
-    for r in divisors_from_factorization(_p2_minus_1_factorization(p))[1:]:
-        audit = _audit_one(r, n // r, mod3)
-        if assert_non_core and audit.is_core_mod_p3:
-            raise CheckFailure(f"divisor {r} of {p}^2-1 is core mod {p}^3")
-        out.append(audit)
-    return out
+    make_modulus(p, 3, arithmetic_only=True)  # validates p
+    audits = _audits(p, p * p - 1, _p2_minus_1_factorization(p))
+    if assert_non_core:
+        for audit in audits:
+            if audit.is_core_mod_p3:
+                raise CheckFailure(f"divisor {audit.r} of {p}^2-1 is core mod {p}^3")
+    return audits
 
 
 def exceptional(audits: list[DivisorAudit]) -> list[DivisorAudit]:
@@ -131,41 +168,46 @@ def exception_row(p: int) -> tuple[int, int] | None:
     endpoint is -1 mod p^2 and would match every prime trivially.
 
     No divisor is raised to the p-th power. Every r is a unit, and
-    r^p = r mod p^2 exactly when its carry r' (r^(p-1) = 1 + r'p mod p^2)
-    is 0 mod p. Carries add under products, (ab)' = a' + b' mod p, and
-    every prime factor q of p^2-1 is below p, so each divisor's carry is
-    the sum of fst_carry(p, q) over its prime factors, built alongside
-    the divisor itself.
+    r^p = r mod p^2 exactly when r^(p-1) = 1 mod p^2, i.e. when its
+    carry r' (r^(p-1) = 1 + r'p mod p^2) is 0 mod p. The (p-1)-th powers
+    come off the divisor lattice of p^2-1, one pow per prime factor.
     """
-    rs, carries = [1], [0]  # the divisors so far, each with its carry sum
-    for q, e in _p2_minus_1_factorization(p).items():
-        c = fst_carry(p, q)
-        new_rs, new_carries = list(rs), list(carries)
-        for i in range(1, e + 1):
-            qi, ci = q ** i, i * c
-            new_rs += [r * qi for r in rs]
-            new_carries += [s + ci for s in carries]
-        rs, carries = new_rs, new_carries
     top = p * p - 1
-    r = min((r for r, s in zip(rs, carries) if s % p == 0 and 1 < r < top), default=0)
+    pairs = _divisor_powers(p, _p2_minus_1_factorization(p), p * p)
+    r = min((r for r, w in pairs if w == 1 and 1 < r < top), default=0)
     return (p, r) if r else None
 
 
 def exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
     """(p, smallest exceptional r) for primes in [p_min, p_max]; see exception_row."""
-    return scan_primes(exception_row, max(p_min, 3), p_max)
+    return scan_primes(per_prime(exception_row), max(p_min, 3), p_max)
 
 
-def _wieferich_hit(base: int, p: int) -> int | None:
-    p2 = p * p
-    return p if pow(base, p, p2) == base % p2 else None
+def _wieferich_hits(base: int, primes: list[int]) -> list[int]:
+    """The primes p of the list with base^p = base mod p^2, one pow per batch."""
+    hits, steps = [], {}  # steps: gap g -> base^g
+    for i in range(0, len(primes), WIEFERICH_BATCH):
+        batch = primes[i : i + WIEFERICH_BATCH]
+        m = math.prod([p * p for p in batch])
+        prev = batch[0]
+        x = pow(base, prev, m)
+        for p in batch:
+            if p != prev:
+                step = steps.get(p - prev)
+                if step is None:
+                    step = steps[p - prev] = base ** (p - prev)
+                x = x * step % m  # base^p mod m
+                prev = p
+            if (x - base) % (p * p) == 0:
+                hits.append(p)
+    return hits
 
 
-def wieferich_test(base: int) -> Callable[[int], int | None]:
-    """The row function of the base-b Wieferich scan: p if base^p = base mod p^2, else None."""
+def wieferich_test(base: int) -> Callable[[list[int]], list[int]]:
+    """The block kernel of the base-b Wieferich scan: the primes p of a block with base^p = base mod p^2."""
     if base < 2:
         raise OutOfRange("base must be >= 2")
-    return partial(_wieferich_hit, base)
+    return partial(_wieferich_hits, base)
 
 
 def wieferich_scan(
@@ -177,9 +219,18 @@ def wieferich_scan(
     )
 
 
-def _scan_block(args: tuple[Callable[[int], object], int, int]) -> list:
-    row, lo, hi = args
-    return [r for p in primes_in_range(lo, hi) if (r := row(p)) is not None]
+def _each_prime(row: Callable[[int], object], primes: list[int]) -> list:
+    return [r for p in primes if (r := row(p)) is not None]
+
+
+def per_prime(row: Callable[[int], object]) -> Callable[[list[int]], list]:
+    """The block kernel running row(p) on each prime of a block, None results dropped."""
+    return partial(_each_prime, row)
+
+
+def _scan_block(args: tuple[Callable[[list[int]], list], int, int]) -> list:
+    rows, lo, hi = args
+    return rows(primes_in_range(lo, hi))
 
 
 def _label(fields: dict) -> str:
@@ -207,30 +258,35 @@ def _read_checkpoint(path: str, ident: dict) -> int:
 
 
 def scan_primes(
-    row: Callable[[int], object], lo: int, hi: int, *,
+    rows: Callable[[list[int]], list], lo: int, hi: int, *,
     jobs: int = 1, checkpoint: str | None = None, ident: dict | None = None, block: int = SCAN_BLOCK,
 ) -> list:
-    """row(p) for every prime p in [lo, hi], in order, None results dropped.
+    """rows(primes of the block) for every block of [lo, hi], concatenated in order.
 
-    Ordered blocks of ceil(n/jobs) numbers, at most block, run on a pool
-    of min(jobs, blocks) processes when jobs > 1 (row must then pickle).
-    A checkpoint is resumed from and rewritten after each block as one
-    line {"version": 1, **ident, "next": N}, ident naming the scan's kind
-    and parameters; one of another scan or format raises BadCheckpoint.
+    rows is a block kernel (per_prime makes one from a row function).
+    Blocks hold ceil(n/parts) numbers, at most block, with parts = 1 at
+    jobs = 1 and 4*jobs otherwise: the cost of a prime grows with p, so
+    several blocks per worker let pool.map hand the heavy top-of-range
+    blocks to whichever worker is free. Under jobs > 1 they run on a pool
+    of min(jobs, blocks) processes (rows must then pickle). A checkpoint
+    is resumed from and rewritten after each block as one line
+    {"version": 1, **ident, "next": N}, ident naming the scan's kind and
+    parameters; one of another scan or format raises BadCheckpoint.
     """
     if jobs < 1:
         raise BadConfig(f"jobs = {jobs} must be at least 1")
     ident = ident or {}
     if checkpoint and os.path.exists(checkpoint):
         lo = max(lo, _read_checkpoint(checkpoint, ident))
-    size = min(block, max(1, -(-(hi - lo + 1) // jobs)))
-    spans = [(row, a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
+    parts = 1 if jobs == 1 else 4 * jobs
+    size = min(block, max(1, -(-(hi - lo + 1) // parts)))
+    spans = [(rows, a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
     workers = min(jobs, len(spans))
     out: list = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = pool.map(_scan_block, spans) if pool else map(_scan_block, spans)
-        for (_, _, end), rows in zip(spans, results):
-            out += rows
+        for (_, _, end), block_rows in zip(spans, results):
+            out += block_rows
             if checkpoint:
                 with open(checkpoint + ".tmp", "w") as fh:
                     fh.write(json.dumps({"version": CHECKPOINT_VERSION, **ident, "next": end + 1}) + "\n")
@@ -286,31 +342,29 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
     half-order cycle necessarily contains -1 (the group order is 0 mod 4
     and a cyclic group keeps its unique involution inside the index-2
     subgroup), so the half bucket cannot demand -1 to be absent.
+
+    -1 lies in the cycle of g exactly when its order is even. Proof: G_k
+    is cyclic of even order, so -1 is its only element of order 2, and
+    the cyclic group <g> of order t holds an element of order 2 iff t is
+    even; that element is g^(t/2), so it is -1. The divisors and their
+    orders come off the lattices of p-1 and p+1 (module docstring).
     """
     mod = make_modulus(p, k, arithmetic_only=True)
-    m = mod.modulus
-    full = mod.units_order
-    gs = sorted(
-        {g for base in (p - 1, p + 1) for g in divisors(base) if g > 1}
-    )
+    m, full = mod.modulus, mod.units_order
+    powers = dict(_divisor_powers(p, factorize(p - 1), m) + _divisor_powers(p, factorize(p + 1), m))
     verdicts = []
-    satisfied = False
-    for g in gs:
-        if g % p == 0:
-            continue  # p itself can divide p-1 or p+1 only for p <= 3
-        order = multiplicative_order(Residue(g % m, mod))
+    for g in sorted(powers)[1:]:  # every g > 1; both lattices hold 1 and 2
+        order = split_order(p, k, g, powers[g])
         if order == full:
             klass = "primitiveRoot"
         elif order * 2 == full:
             klass = "halfGroupNoMinusOne"
         else:
             klass = "other"
-        minus_one = order % 2 == 0 and pow(g, order // 2, m) == m - 1
         verdicts.append(
-            GeneratorVerdict(p=p, k=k, g=g, order=order, klass=klass, minus_one_in_cycle=minus_one)
+            GeneratorVerdict(p=p, k=k, g=g, order=order, klass=klass, minus_one_in_cycle=order % 2 == 0)
         )
-        if klass in ("primitiveRoot", "halfGroupNoMinusOne"):
-            satisfied = True
+    satisfied = any(v.klass != "other" for v in verdicts)
     return GeneratorSurvey(p=p, k=k, verdicts=tuple(verdicts), satisfied=satisfied)
 
 
@@ -323,19 +377,16 @@ def audit_power_divisors(p: int, m_exp: int, k: int = 3, assert_non_core: bool =
     """
     if m_exp < 1:
         raise OutOfRange("need m >= 1")
+    make_modulus(p, 3, arithmetic_only=True)  # validates p
     n = p ** (2 * m_exp) - 1
     mk = p ** k
-    mod3 = make_modulus(p, 3, arithmetic_only=True)
-    out = []
-    for r in divisors(n):
-        if r == 1:
-            continue
-        audit = _audit_one(r, n // r, mod3)
-        trivial = r % mk in (1, mk - 1)
-        if assert_non_core and not trivial and pow(r, p, mk) == r % mk:
-            raise CheckFailure(f"divisor {r} of {p}^{2 * m_exp}-1 is core mod {p}^{k}")
-        out.append(audit)
-    return out
+    audits = _audits(p, n, factorize(n))
+    if assert_non_core:
+        for audit in audits:
+            r = audit.r
+            if r % mk not in (1, mk - 1) and pow(r, p, mk) == r % mk:
+                raise CheckFailure(f"divisor {r} of {p}^{2 * m_exp}-1 is core mod {p}^{k}")
+    return audits
 
 
 def generator_lift(p: int, g: int, k_max: int = 4) -> dict[int, bool]:

@@ -8,7 +8,10 @@ and G_k sit the core extensions X^(e) = A_k * Y^(e) with Y^(e) generated
 by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
 Here live the moduli, residues, orders and F_k in closed form (the
-preimage of A_q, q = p^min(k, 2)). The core A_k and the extensions
+preimage of A_q, q = p^min(k, 2)). An order is read off the split: the
+order of r mod p times the order of r^(p-1) in B_k (split_order), so a
+caller that already holds r^(p-1), such as the divisor lattice in
+generators, pays no further pow mod p^k. The core A_k and the extensions
 X^(e) are built in corefst, from its cached per-modulus core table.
 
 This module also owns the base-p text codec used by the CLI: fixed-width
@@ -130,23 +133,22 @@ def _unit_group_primes_mod_p(p: int) -> tuple[int, ...]:
     return tuple(factorize(p - 1))
 
 
-def multiplicative_order(n: Residue) -> int:
-    """Least t >= 1 with n^t = 1, through the split G_k = A_k * B_k.
+def split_order(p: int, k: int, r: int, w: int) -> int:
+    """Order of a unit r mod p^k, given w = r^(p-1) mod p^k, through G_k = A_k * B_k.
 
-    d = ord(n mod p) is the order of the core part, found by peeling the
-    primes of p-1 with arithmetic mod p. n^d lies in B_k, which is cyclic
-    of order p^(k-1), and 1 + a*p^j with p not dividing a has order
-    p^(k-j) there; d is prime to p, so ord(n) = d * ord(n^d).
+    d = ord(r mod p) is the order of the core part, found by peeling the
+    primes of p-1 with arithmetic mod p. w = (r^d)^((p-1)/d) lies in B_k,
+    which is cyclic of order p^(k-1), and has the order of r^d there since
+    (p-1)/d is prime to p; 1 + a*p^j with p not dividing a has order
+    p^(k-j). d is prime to p, so ord(r) = d * ord(w), and ord(w) = 1 when
+    w = 1.
     """
-    if not n.is_unit:
-        raise NotAUnit(f"{n.value} is divisible by p = {n.mod.p}")
-    p, k, m = n.mod.p, n.mod.k, n.mod.modulus
-    a = n.value % p
+    a = r % p
     d = p - 1
     for q in _unit_group_primes_mod_p(p):
         while d % q == 0 and pow(a, d // q, p) == 1:
             d //= q
-    rest = pow(n.value, d, m) - 1
+    rest = w - 1
     if rest == 0:
         return d
     j = 0
@@ -154,6 +156,14 @@ def multiplicative_order(n: Residue) -> int:
         rest //= p
         j += 1
     return d * p ** (k - j)
+
+
+def multiplicative_order(n: Residue) -> int:
+    """Least t >= 1 with n^t = 1: split_order of n with one pow for n^(p-1)."""
+    if not n.is_unit:
+        raise NotAUnit(f"{n.value} is divisible by p = {n.mod.p}")
+    p, k, m = n.mod.p, n.mod.k, n.mod.modulus
+    return split_order(p, k, n.value, pow(n.value, p - 1, m))
 
 
 def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:

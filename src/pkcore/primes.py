@@ -2,13 +2,19 @@
 
 Deterministic Miller-Rabin below 2^64 (fixed witness set), Baillie-PSW
 above. Factorization is trial division to a bound, then Pollard rho with
-Brent's cycle detection. Everything here is exact integer arithmetic.
+Brent's cycle detection; a cofactor left once trial division has passed
+its square root is prime and is not tested again. factor_table gives a
+prime factor of every composite up to n, so completely multiplicative
+maps (n -> n^p mod m) need a pow at primes only. Everything here is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
+from itertools import compress
 
 from .errors import FactorizationFailure
 
@@ -120,7 +126,7 @@ def sieve(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(limit + 1), flags))
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -133,7 +139,30 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     for p in base:
         start = max(p * p, (lo + p - 1) // p * p)
         flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-    return [lo + i for i, f in enumerate(flags) if f]
+    return list(compress(range(lo, hi + 1), flags))
+
+
+_factor_table = array("I")
+
+
+def _build_factor_table(size: int) -> array:
+    table = array("I", [0]) * size
+    for q in reversed(sieve(math.isqrt(size - 1))):  # descending, so the smallest factor is written last
+        table[q * q :: q] = array("I", [q]) * len(range(q * q, size, q))
+    return table
+
+
+def factor_table(n: int) -> array:
+    """A table f with f[m] a prime factor (the smallest) of every composite
+    m <= n, and f[m] = 0 for primes and for m < 2.
+
+    One shared 32-bit array, rebuilt at least twice as long when a call
+    needs more, so repeated calls with growing n cost amortised O(n).
+    """
+    global _factor_table
+    if len(_factor_table) <= n:
+        _factor_table = _build_factor_table(max(n + 1, 2 * len(_factor_table)))
+    return _factor_table
 
 
 def _pollard_rho_brent(n: int, rng: random.Random, max_iters: int) -> int:
@@ -192,7 +221,9 @@ def factorize(n: int, max_rounds: int = 64, max_iters: int = RHO_MAX_ITERS) -> d
             n //= d
         d += wheel[wi]
         wi = (wi + 1) % 8
-    if n == 1:
+    if d * d > n:  # no factor below sqrt(n) is left, so n is 1 or prime
+        if n > 1:
+            out[n] = 1
         return out
     rng = None
     stack = [n]

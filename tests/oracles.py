@@ -89,6 +89,41 @@ def naive_wieferich(p: int, base: int = 2) -> bool:
     return pow(base, p, p * p) == base % (p * p)
 
 
+def naive_audit_divisors(p: int) -> list[dict]:
+    """The fields of generators.DivisorAudit for every divisor r > 1 of
+    p^2-1, ascending: one pow mod p^3 per divisor and sympy's order."""
+    p2, p3 = p * p, p**3
+    out = []
+    for r in naive_divisors(p2 - 1)[1:]:
+        rp3 = pow(r, p, p3)
+        rp2 = rp3 % p2
+        out.append({
+            "p": p,
+            "r": r,
+            "cofactor": (p2 - 1) // r,
+            "rp_minus_r_mod_p2": (rp2 - r) % p2,
+            "rp_minus_r_mod_p3": (rp3 - r) % p3,
+            "order_in_g3": naive_order(r, p3),
+            "is_core_mod_p2": rp2 == r % p2,
+            "is_core_mod_p3": rp3 == r % p3,
+            "sign_trivial": r % p2 in (1, p2 - 1),
+        })
+    return out
+
+
+def naive_survey_pm1_generators(p: int, k: int) -> tuple[list[dict], bool]:
+    """(verdict fields per divisor g > 1 of p-1 or p+1, ascending; satisfied),
+    with sympy's order and -1 in the cycle tested as g^(t/2) = -1."""
+    m, full = p**k, (p - 1) * p ** (k - 1)
+    verdicts = []
+    for g in sorted({g for n in (p - 1, p + 1) for g in naive_divisors(n) if g > 1}):
+        t = naive_order(g % m, m)
+        klass = "primitiveRoot" if t == full else "halfGroupNoMinusOne" if 2 * t == full else "other"
+        minus_one = t % 2 == 0 and pow(g, t // 2, m) == m - 1
+        verdicts.append({"p": p, "k": k, "g": g, "order": t, "klass": klass, "minus_one_in_cycle": minus_one})
+    return verdicts, any(v["klass"] != "other" for v in verdicts)
+
+
 def naive_sum_levels(p: int, k: int, t_max: int = 4) -> dict[int, set[int]]:
     """t-fold sumsets of the p-th power residues, exhaustively."""
     m = p**k

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import oracles
@@ -10,9 +12,12 @@ from pkcore.generators import (
     exception_scan,
     exceptional,
     generator_lift,
+    scan_primes,
     survey_pm1_generators,
     wieferich_scan,
+    wieferich_test,
 )
+from pkcore.primes import primes_in_range
 
 
 def test_audit_divisors_11():
@@ -29,6 +34,13 @@ def test_audit_divisors_11():
 def test_audit_orders_match_sympy():
     for a in audit_divisors(13, assert_non_core=False):
         assert a.order_in_g3 == oracles.naive_order(a.r, 13**3)
+
+
+def test_audit_matches_per_divisor_oracle():
+    # every field, against one pow mod p^3 and sympy's order per divisor
+    for p in primes_in_range(3, 499) + [1093, 3511, 8191]:
+        got = [dataclasses.asdict(a) for a in audit_divisors(p, assert_non_core=False)]
+        assert got == oracles.naive_audit_divisors(p), p
 
 
 def test_exceptional_pairing():
@@ -59,6 +71,23 @@ def test_wieferich_small_window():
     assert wieferich_scan(1000) == []
     for p in (1093, 3511):
         assert oracles.naive_wieferich(p)
+
+
+def test_wieferich_kernel_matches_naive():
+    ps = [n for n in range(2, 20001) if oracles.naive_is_prime(n)]
+    # (first, last) prime indices of a slice, and scan windows (lo, hi, block);
+    # both start mid-batch of a scan from 2, and the windows cross block edges
+    slices = [(0, len(ps)), (3, 40), (5, 6), (170, 190), (1, 9)]
+    windows = [(2, 20000, 4096), (1000, 4000, 333), (1090, 1100, 7), (2, 2, 1), (3500, 3600, 50)]
+    for base in (2, 3, 5, 10, 11, 2186):  # p | base at p = 2, 3, 5, 11 and 1093
+        kernel = wieferich_test(base)
+        for i, j in slices:
+            assert kernel(ps[i:j]) == [p for p in ps[i:j] if oracles.naive_wieferich(p, base)], (base, i, j)
+        for lo, hi, block in windows:
+            want = [p for p in ps if lo <= p <= hi and oracles.naive_wieferich(p, base)]
+            assert scan_primes(kernel, lo, hi, block=block) == want, (base, lo, hi)
+    assert wieferich_test(5)([2, 3, 5, 20771]) == [2, 20771]
+    assert wieferich_test(10)([2, 3, 5, 487]) == [3, 487]
 
 
 def test_wieferich_other_base():
@@ -98,6 +127,10 @@ def test_pool_capped_at_block_count(monkeypatch):
     assert wieferich_scan(4000, jobs=2, block=500) == [1093, 3511]
     assert [(p.max_workers, p.blocks) for p in pools] == [(2, 8)]
     pools.clear()
+    # under jobs > 1 the range is cut into 4 * jobs blocks, so the heavy top ones spread out
+    assert wieferich_scan(4000, jobs=2) == [1093, 3511]
+    assert [(p.max_workers, p.blocks) for p in pools] == [(2, 8)]
+    pools.clear()
     assert wieferich_scan(4000, jobs=1) == [1093, 3511] and pools == []
     with pytest.raises(BadConfig):
         wieferich_scan(100, jobs=0)
@@ -120,9 +153,17 @@ def test_survey_73():
         assert by_g[g].minus_one_in_cycle
 
 
-def test_survey_satisfied_small_range():
-    from pkcore.primes import primes_in_range
+def test_survey_matches_oracle():
+    # orders from sympy, and -1 in the cycle by the pow form g^(t/2) = -1
+    for p in primes_in_range(3, 299):
+        for k in (2, 3, 4):
+            survey = survey_pm1_generators(p, k)
+            verdicts, satisfied = oracles.naive_survey_pm1_generators(p, k)
+            assert [dataclasses.asdict(v) for v in survey.verdicts] == verdicts, (p, k)
+            assert survey.satisfied == satisfied
 
+
+def test_survey_satisfied_small_range():
     for p in primes_in_range(3, 60):
         assert survey_pm1_generators(p, 3).satisfied, p
 

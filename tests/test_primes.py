@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from pkcore.errors import FactorizationFailure
-from pkcore.primes import divisors, factorize, is_prime, primes_in_range, sieve
+from pkcore.primes import divisors, factor_table, factorize, is_prime, primes_in_range, sieve
 
 
 def test_is_prime_small():
@@ -43,6 +43,22 @@ def test_sieve_and_range():
     assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if oracles.naive_is_prime(n)]
 
 
+def test_primes_in_range_windows():
+    # across the 2^20 scan block edge, lo above sqrt(hi), lo = hi prime, empty and tiny windows
+    windows = [(2**20 - 400, 2**20 + 400), (5000, 5300), (10**6 + 3, 10**6 + 3), (97, 97), (0, 1), (0, 40), (24, 28)]
+    for lo, hi in windows:
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if oracles.naive_is_prime(n)], (lo, hi)
+
+
+def test_factor_table():
+    table = factor_table(5000)
+    for m in range(5001):
+        want = 0 if m < 2 or oracles.naive_is_prime(m) else min(oracles.naive_factorint(m))
+        assert table[m] == want, m
+    assert factor_table(50) is table  # shared, not rebuilt for a shorter request
+    assert len(factor_table(len(table))) >= 2 * len(table)  # grown at least twofold
+
+
 def test_factorize_known():
     assert factorize(1) == {}
     assert factorize(2**10) == {2: 10}
@@ -61,6 +77,19 @@ def test_factorize_random_vs_sympy():
             assert is_prime(q)
             prod *= q**e
         assert prod == n
+
+
+def test_factorize_needs_no_primality_test_below_trial_bound(monkeypatch):
+    import pkcore.primes
+
+    calls = []
+    real = pkcore.primes.is_prime
+    monkeypatch.setattr(pkcore.primes, "is_prime", lambda n: calls.append(n) or real(n))
+    for p in primes_in_range(3, 3000) + primes_in_range(10**6 - 3000, 10**6):
+        for n in (p - 1, p + 1):
+            assert factorize(n) == oracles.naive_factorint(n), n
+    # a cofactor left once trial division passed its square root is prime
+    assert calls == []
 
 
 def test_factorize_semiprime():
