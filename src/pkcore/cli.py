@@ -36,6 +36,7 @@ from .errors import (
     BadConfig,
     CheckFailure,
     NoTripleFound,
+    OutOfRange,
     PkcoreError,
 )
 from .modring import (
@@ -350,6 +351,8 @@ def cmd_scan(args, cfg) -> Report:
 def cmd_decompose(args, cfg) -> Report:
     mod = make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
     x = args.residue % mod.modulus
+    if args.max_t < 1:
+        raise OutOfRange(f"need at least one summand, got --max-t {args.max_t}")
     for t in range(1, args.max_t + 1):
         try:
             summands = waring.decompose_residue(mod, x, t)

@@ -13,7 +13,11 @@ exactly that preimage. Each summand therefore ranges over whole classes
 a + qZ, and F+t is the preimage of S_t, the t-fold sumset of A_q in
 Z/q. The levels S_t are computed and cached as bitsets over [0, q)
 and tiled out to p^k; F ∩ [1, q) = A_q, so scanning A_q ascending finds
-the same witness as scanning F ascending.
+the same witness as scanning F ascending. That scan reads only x mod q,
+so a witness's first t-1 summands depend only on the class of x mod q
+(the shared prefix) and only the last one, x minus their sum mod p^k,
+depends on x itself: verify_multiples_of_p searches once per class
+mod q, at most p times, rather than once per multiple of p.
 
 Multiples of p decompose in two regimes. A first-shell multiple mp with
 m not divisible by p is a three-summand sum: some positive triple
@@ -170,6 +174,32 @@ def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
     return report
 
 
+def _witness_prefix(mod: PrimePowerModulus, small: ReducedSumsets, r: int) -> tuple[int, ...]:
+    """The first t-1 summands of the witness of every x = r mod q in F+t,
+    where small = reduced_sumsets(mod, t).
+
+    Each is the smallest element of A_q that leaves a remainder in the
+    level below. The search reads only x mod q, so one prefix serves the
+    whole class, and its summands are checked to lie in F here, once.
+    The caller has checked that r is in S_t.
+    """
+    q, base, levels = small
+    parts: list[int] = []
+    rem = r
+    for below in reversed(levels[:-1]):
+        for v in base:
+            if below >> ((rem - v) % q) & 1:
+                parts.append(v)
+                rem = (rem - v) % q
+                break
+        else:  # pragma: no cover - contradicts the level invariant
+            raise CheckFailure("witness search lost a marked residue")
+    m, f_order = mod.modulus, mod.pth_power_order
+    if any(pow(v, f_order, m) != 1 for v in parts):
+        raise CheckFailure("invalid witness prefix produced")
+    return tuple(parts)
+
+
 def decompose_residue(mod: PrimePowerModulus, x: int, t: int) -> tuple[int, ...]:
     """A t-tuple of p-th power residues summing to x mod p^k.
 
@@ -181,26 +211,16 @@ def decompose_residue(mod: PrimePowerModulus, x: int, t: int) -> tuple[int, ...]
     if t < 1:
         raise OutOfRange(f"need at least one summand, got t = {t}")
     m = mod.modulus
-    q, base, levels = reduced_sumsets(mod, t)
+    small = reduced_sumsets(mod, t)
+    q, _, levels = small
     x %= m
     if not levels[t - 1] >> (x % q) & 1:
         raise NoTripleFound(f"{x} is not a sum of {t} p-th power residues mod {m}")
-    parts: list[int] = []
-    rem = x
-    for lvl in range(t, 1, -1):
-        below = levels[lvl - 2]
-        for v in base:
-            if below >> ((rem - v) % q) & 1:
-                parts.append(v)
-                rem = (rem - v) % m
-                break
-        else:  # pragma: no cover - contradicts the level invariant
-            raise CheckFailure("witness search lost a marked residue")
-    parts.append(rem)
-    f_order = mod.pth_power_order
-    if sum(parts) % m != x or any(pow(v, f_order, m) != 1 for v in parts):
+    prefix = _witness_prefix(mod, small, x % q)
+    last = (x - sum(prefix)) % m
+    if (sum(prefix) + last) % m != x or pow(last, mod.pth_power_order, m) != 1:
         raise CheckFailure("invalid witness produced")  # pragma: no cover
-    return tuple(parts)
+    return prefix + (last,)
 
 
 @dataclass(frozen=True)
@@ -217,18 +237,32 @@ def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
     """Which nonzero multiples of p are in F+3, each one checked.
 
     Returns witnesses (three p-th power summands) for every covered
-    multiple; the uncovered ones, when any, are nonzero multiples of p^2
-    and are verified to be two-summand sums instead.
+    multiple, each the one decompose_residue(mod, x, 3) gives: the first
+    two summands are searched once per class mod q, and every summand of
+    every witness is checked to lie in F. The uncovered multiples, when
+    any, are nonzero multiples of p^2 and are verified to be two-summand
+    sums instead.
     """
     _require_sumset_cell(mod)
     m, p = mod.modulus, mod.p
-    q, _, levels = reduced_sumsets(mod, 3)
+    small = reduced_sumsets(mod, 3)
+    q, _, levels = small
+    f_order = mod.pth_power_order
     missing = []
     witnesses: dict[int, tuple[int, int, int]] = {}
+    prefixes: dict[int, tuple[int, ...]] = {}  # class mod q -> (v1, v2)
     first_shell_ok = True
     for x in range(p, m, p):
-        if levels[2] >> (x % q) & 1:
-            witnesses[x] = decompose_residue(mod, x, 3)  # type: ignore[assignment]
+        r = x % q
+        if levels[2] >> r & 1:
+            prefix = prefixes.get(r)
+            if prefix is None:
+                prefix = prefixes[r] = _witness_prefix(mod, small, r)
+            v1, v2 = prefix
+            last = (x - v1 - v2) % m
+            if (v1 + v2 + last) % m != x or pow(last, f_order, m) != 1:
+                raise CheckFailure("invalid witness produced")  # pragma: no cover
+            witnesses[x] = (v1, v2, last)
         else:
             missing.append(x)
             if x % (p * p):

@@ -144,6 +144,12 @@ def test_decompose_hit_and_miss(capsys):
     assert code == 2
 
 
+def test_decompose_max_t_below_one_is_bad_input(capsys):
+    for max_t in ("0", "-2"):
+        code, out, err = run(capsys, "decompose", "-p", "7", "-k", "3", "14", "--max-t", max_t)
+        assert code == 6 and out == "" and "--max-t" in err, max_t
+
+
 def test_pairsums_below_critical_notes(capsys):
     code, out, _ = run(capsys, "pairsums", "-p", "11", "-k", "2")
     assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pkcore import waring
-from pkcore.errors import NoTripleFound, OutOfRange
+from pkcore.errors import CheckFailure, NoTripleFound, OutOfRange
 from pkcore.modring import make_modulus, pth_power_members
 from pkcore.pairsums import fermat_pairsum_count
 from pkcore.waring import (
@@ -23,6 +23,8 @@ SMALL_PRIMES = [p for p in range(3, 142) if oracles.naive_is_prime(p)]
 # every cell with k >= 2 and p^k <= 20000, checked against the bitset oracle
 ORACLE_CELLS = [(p, k) for p in SMALL_PRIMES for k in range(2, 10) if p**k <= 20000]
 K1_CELLS = [(p, 1) for p in SMALL_PRIMES]
+# the verify_multiples_of_p cells of the `cells` benchmark workload
+MULTIPLES_BENCH_CELLS = [(3, 7), (5, 5), (7, 4), (11, 3), (13, 3)]
 
 
 def test_level_counts_golden():
@@ -156,6 +158,35 @@ def test_reports_match_bitset_oracle():
         want = oracles.bitset_multiples(p, k)
         got = {name: getattr(v, name) for name in want}
         assert got == want, (p, k)
+
+
+def test_multiples_witnesses_match_decompose():
+    # verify_multiples_of_p searches once per class mod q; each witness
+    # must still be the one decompose_residue gives for that multiple
+    for p, k in ORACLE_CELLS + MULTIPLES_BENCH_CELLS:
+        mod = make_modulus(p, k)
+        v = verify_multiples_of_p(mod)
+        assert len(v.witnesses) + len(v.missing) == p ** (k - 1) - 1, (p, k)
+        for x, witness in v.witnesses.items():
+            assert witness == decompose_residue(mod, x, 3), (p, k, x)
+
+
+def test_witness_self_check_fires(monkeypatch):
+    # a non-member at the head of the base becomes the first summand of
+    # some prefix; the levels stay true, so only the prefix check sees it
+    mod = make_modulus(7, 3)
+    assert 2 not in pth_power_members(mod)
+    real = waring.reduced_sumsets
+
+    def corrupt(mod, max_t):
+        small = real(mod, max_t)
+        return small._replace(base=(2,) + small.base)
+
+    monkeypatch.setattr(waring, "reduced_sumsets", corrupt)
+    with pytest.raises(CheckFailure):
+        verify_multiples_of_p(mod)
+    with pytest.raises(CheckFailure):
+        decompose_residue(mod, 14, 3)
 
 
 def test_sumset_input_validation():
