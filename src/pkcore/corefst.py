@@ -28,8 +28,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadExponent, CheckFailure, OutOfRange
-from .modring import PrimePowerModulus
+from .errors import CheckFailure, OutOfRange
+from .modring import PrimePowerModulus, make_modulus
 from .primes import factor_table
 
 
@@ -100,9 +100,10 @@ class CoreTable:
 def build_core_table(mod: PrimePowerModulus) -> CoreTable:
     """The core table of mod, built once per modulus and then shared.
 
-    This is the only place the core is computed; core_members,
-    core_extension_members, the pairsum counts and the corollary check
-    all read it.
+    This is the only place the core is computed; core_members, the
+    pairsum counts and the corollary check all read it. No extension
+    X^(e) is built as a set: it is the preimage of the core of p^(k-e),
+    so the pairsum counts read that table instead.
     """
     return _core_table(mod)
 
@@ -135,21 +136,6 @@ def core_members(mod: PrimePowerModulus) -> set[int]:
     return set(build_core_table(mod).core)
 
 
-def core_extension_members(mod: PrimePowerModulus, e: int) -> set[int]:
-    """X^(e) = A_k * Y^(e) as an explicit set, |X^(e)| = (p-1)*p^e.
-
-    Y^(e) consists of the residues m*p^(k-e)+1, the cyclic subgroup of
-    B_k generated by p^(k-e)+1.
-    """
-    mod.require_tables()
-    if not 0 <= e <= mod.k - 1:
-        raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
-    m = mod.modulus
-    step = mod.p ** (mod.k - e)
-    ys = [(j * step + 1) % m for j in range(mod.p ** e)]
-    return {a * y % m for a in build_core_table(mod).core for y in ys}
-
-
 @dataclass(frozen=True)
 class CriticalPrecisionResult:
     p: int
@@ -177,6 +163,7 @@ def critical_precision(p: int) -> CriticalPrecisionResult:
     values are distinct; every level k <= K then reads the same residues
     the exact integers would give, since (x mod p^K) mod p^k = x mod p^k.
     """
+    make_modulus(p, 1, arithmetic_only=True)  # validates p
     h = (p - 1) // 2
     top = min(4, p)
     while True:
@@ -207,13 +194,23 @@ def critical_precision(p: int) -> CriticalPrecisionResult:
 
 
 def integer_increments(p: int, i: int, k: int) -> list[int]:
-    """e_i(n) = (n+1)^(p^i) - n^(p^i) mod p^k for n = 1..p-1."""
+    """e_i(n) = (n+1)^(p^i) - n^(p^i) mod p^k for n = 1..p-1.
+
+    The values stop changing at i = k-1, so the powers are taken at
+    i' = min(i, max(k-1, 1)). For a unit n, n^(p^(k-1)) = A_k(n) mod p^k,
+    and the core is fixed by the p-th power, so n^(p^i) = A_k(n) for
+    every i >= k-1. For n = p, p^(p^i) = 0 mod p^k as soon as p^i >= k,
+    and p^(k-1) >= k for p >= 3. Both hold at i' (at k = 1 every i >= 1
+    gives n and 0), so any i costs what i' does.
+    """
+    make_modulus(p, 1, arithmetic_only=True)  # validates p
     if i < 1:
         raise OutOfRange(f"need i >= 1, got {i}")
     if k < 1:
         raise OutOfRange(f"need k >= 1, got {k}")
     m = p ** k
-    powers = [pow(n, p ** i, m) for n in range(1, p + 1)]
+    q = p ** min(i, max(k - 1, 1))
+    powers = [pow(n, q, m) for n in range(1, p + 1)]
     return [(powers[n] - powers[n - 1]) % m for n in range(1, p)]
 
 

@@ -144,8 +144,8 @@ def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
     needed, including r = p^2-1 whose p-th power is -1, not itself);
     with assert_non_core a violation raises CheckFailure. The mod-p^2
     flag is informational; exceptional cases are the non-sign-trivial
-    ones, read off via the exceptional() helper. The divisors and their
-    (p-1)-th powers come off the lattice of p^2-1 (module docstring).
+    ones (DivisorAudit.exceptional). The divisors and their (p-1)-th
+    powers come off the lattice of p^2-1 (module docstring).
     """
     make_modulus(p, 3, arithmetic_only=True)  # validates p
     audits = _audits(p, p * p - 1, _p2_minus_1_factorization(p))
@@ -154,11 +154,6 @@ def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
             if audit.is_core_mod_p3:
                 raise CheckFailure(f"divisor {audit.r} of {p}^2-1 is core mod {p}^3")
     return audits
-
-
-def exceptional(audits: list[DivisorAudit]) -> list[DivisorAudit]:
-    """The audits passing the mod-p^2 congruence for non-sign reasons."""
-    return [a for a in audits if a.exceptional]
 
 
 def exception_row(p: int) -> tuple[int, int] | None:

@@ -11,8 +11,10 @@ Here live the moduli, residues, orders and F_k in closed form (the
 preimage of A_q, q = p^min(k, 2)). An order is read off the split: the
 order of r mod p times the order of r^(p-1) in B_k (split_order), so a
 caller that already holds r^(p-1), such as the divisor lattice in
-generators, pays no further pow mod p^k. The core A_k and the extensions
-X^(e) are built in corefst, from its cached per-modulus core table.
+generators, pays no further pow mod p^k. The core A_k is built in
+corefst, from its cached per-modulus core table. No X^(e) is built as a
+set: reduction mod p^(k-e) has kernel Y^(e) and maps A_k onto A_(k-e),
+so X^(e) is the preimage of the core of p^(k-e) (see pairsums).
 
 This module also owns the base-p text codec used by the CLI: fixed-width
 strings, most significant digit first, digits 0-9 then a-z for p <= 36,

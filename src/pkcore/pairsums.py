@@ -16,30 +16,33 @@ F+F also contains 0 and, for k >= 3, nonzero multiples of p^2 (two
 p-th powers with cancelling cores). Those non-unit sums are counted and
 reported separately; they are not part of the coset identity.
 
-The core count and the extension check add no pairs. Each X = X^(e) is
-a subgroup of the cyclic unit group G_k, so X+X = X*(1+X):
+Every check reads the core at a small precision, because each extension
+level is a preimage. Reduction mod p^j, j = k-e, maps G_k onto G_j with
+kernel Y^(e) and maps A_k onto A_j, so X^(e) = A_k * Y^(e) is exactly
+the preimage of A_j, and D_k reduces to D_j. Hence:
 
-  x + y = x*(1 + y/x) with y/x in X, hence the unit part of X+X is the
-  union of the cosets X*(1+u) over the u in X with 1+u a unit.
+  X+X is the preimage of A_j+A_j (lift a sum a+b by any x over a; then
+  the rest lies over b), and each coset X*d is the preimage of A_j*d.
 
-In a cyclic group the kernel of z -> z^|X| is the unique subgroup of
-order |X|, which is X, so z^|X| mod p^k labels the coset X*z. The unit
-part of X+X is then |X| times the number of labels (1+u)^|X|, one
-modular power per element of X instead of |X|^2/2 additions; the core
-count is the e = 0 case.
+Every fibre has p^e residues, so both counts are p^e times the matching
+counts in Z/p^j, where A_j is the kernel of z -> z^(p-1) on the cyclic
+G_j and z^(p-1) mod p^j labels the coset A_j*z. The unit part of A_j+A_j
+is the union of the cosets A_j*(1+a) (a+b = a*(1+b/a)), so the check
+compares the labels (1+a)^(p-1) with the labels d^(p-1), d in D_j:
+fewer than p-1 label powers mod p^j at every level, whatever e. The core
+count is the e = 0 case, and F is X^(k-2) (every unit at k = 1), so the
+F+F count is the same check.
 
-The core, X^(e), D_k and the A_q behind the F+F count all come from
-corefst's cached core table (D_k at precision 2 from the table of p^2,
-A_q from that of p^min(k, 2)); nothing here computes a core element
-itself.
+The cores and D_j all come from corefst's cached core table of p^j;
+nothing here computes a core element itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass
 
-from .corefst import build_core_table, core_extension_members, critical_precision
+from .corefst import CoreTable, build_core_table, critical_precision
+from .errors import BadExponent
 from .modring import PrimePowerModulus, make_modulus
 
 __all__ = [
@@ -51,11 +54,11 @@ __all__ = [
 ]
 
 
-def _sum_labels(x: Collection[int], mod: PrimePowerModulus) -> set[int]:
-    """Coset labels (1+u)^|x| of the unit sums 1+u, u in the subgroup x:
-    the cosets whose union is the unit part of x+x."""
-    p, m, size = mod.p, mod.modulus, len(x)
-    return {pow(1 + u, size, m) for u in x if (1 + u) % p}
+def _sum_labels(table: CoreTable) -> set[int]:
+    """Coset labels (1+a)^(p-1) of the unit sums 1+a, a in the core of
+    the table: the cosets whose union is the unit part of A+A."""
+    p, m = table.mod.p, table.mod.modulus
+    return {pow(1 + a, p - 1, m) for a in table.core if (1 + a) % p}
 
 
 def core_pairsum_count(mod: PrimePowerModulus, *, kp: int | None = None) -> tuple[int, int]:
@@ -70,7 +73,7 @@ def core_pairsum_count(mod: PrimePowerModulus, *, kp: int | None = None) -> tupl
     mod.require_tables()
     p = mod.p
     table = build_core_table(mod)
-    observed = (p - 1) * len(_sum_labels(table.core, mod))
+    observed = (p - 1) * len(_sum_labels(table))
     if kp is None:
         kp = critical_precision(p).kp
     if mod.k >= kp:
@@ -94,24 +97,22 @@ class FermatPairsumResult:
 def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
     """Count the unit part of F+F and compare it to |F|*|D_2|.
 
-    F+F is the preimage of A_q+A_q, A_q the core of Z/q, q = p^min(k, 2),
-    so each class counts p^k/q residues. Its unit part is |A_q| times the
-    coset labels (1+a)^(p-1), as in extension_pairsum_check; the coset
-    generators are the increments at precision 2, regardless of k. Sums
-    that are 0 mod p pair A(n) with A(p-n) and land on multiples of p^2;
-    they are tallied in nonunit_nonzero, outside the identity.
+    F is X^(k-2) for k >= 2 and every unit (X^(0)) at k = 1, so the unit
+    count is that of extension_pairsum_check at e = max(k-2, 0); the coset
+    generators are the increments at precision 2, regardless of k. F is
+    the preimage of A_q, q = p^min(k, 2), and a sum of two of its elements
+    is 0 mod p only over A(n) + A(p-n) = 0 mod q, so the non-unit sums are
+    exactly the multiples of q (lift any x over A(n); the rest lies over
+    A(p-n)): p^k/q - 1 nonzero ones, tallied in nonunit_nonzero, outside
+    the identity.
     """
-    mod.require_tables()
-    p = mod.p
-    small = make_modulus(p, min(mod.k, 2), arithmetic_only=True)
-    q, core = small.modulus, build_core_table(small).core
-    lift = mod.modulus // q
-    zero_mod_p = {(a + b) % q for a, b in zip(core, reversed(core))}  # A(n) + A(p-n)
+    p, k = mod.p, mod.k
+    units = extension_pairsum_check(mod, max(k - 2, 0)).unit_sum_count
     d2 = len(build_core_table(make_modulus(p, 2, arithmetic_only=True)).distinct_increments)
     return FermatPairsumResult(
-        observed=lift * (p - 1) * len(_sum_labels(core, small)),
+        observed=units,
         predicted=mod.pth_power_order * d2,
-        nonunit_nonzero=lift * len(zero_mod_p) - (0 in zero_mod_p),
+        nonunit_nonzero=mod.modulus // p ** min(k, 2) - 1,
     )
 
 
@@ -129,19 +130,20 @@ def extension_pairsum_check(mod: PrimePowerModulus, e: int) -> ExtensionPairsumV
     X^(e)*d over the distinct core increments d in D_k.
 
     The same generator set serves every extension level; e = 0 is the
-    core statement, e = k-2 the p-th power one. One pass over X: since
-    x + y = x*(1 + y/x), the unit sums are the cosets X*(1+u), u in X,
-    1+u a unit; and z^|X| labels the coset X*z, because in the cyclic
-    G_k the kernel of z -> z^|X| is the one subgroup of order |X|. So
-    the check compares {(1+u)^|X|} with {d^|X| : d in D_k}, and each
-    count is |X| times its number of labels.
+    core statement, e = k-2 the p-th power one. X^(e) is the preimage of
+    the core A_j, j = k-e, and D_k reduces to D_j (module docstring), so
+    the check reads the core table of p^j: it compares {(1+a)^(p-1)},
+    a in A_j, with {d^(p-1) : d in D_j} mod p^j, and each count is
+    |X^(e)| = (p-1)*p^e times its number of labels.
     """
     mod.require_tables()
-    m = mod.modulus
-    x = core_extension_members(mod, e)
-    size = len(x)
-    labels = _sum_labels(x, mod)
-    gens = {pow(d, size, m) for d in build_core_table(mod).distinct_increments}
+    if not 0 <= e <= mod.k - 1:
+        raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
+    p = mod.p
+    table = build_core_table(make_modulus(p, mod.k - e, arithmetic_only=True))
+    labels = _sum_labels(table)
+    gens = {pow(d, p - 1, table.mod.modulus) for d in table.distinct_increments}
+    size = (p - 1) * p ** e
     return ExtensionPairsumVerdict(
         mod=mod,
         e=e,

@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CheckFailure, NoTripleFound, OutOfRange
-from .modring import PrimePowerModulus, pth_power_base
+from .modring import PrimePowerModulus, make_modulus, pth_power_base
 
 __all__ = [
     "CoverageReport",
@@ -296,6 +296,7 @@ def h_triple_coresum(p: int) -> TripleWitness:
     triple ((p-1)/3, 2(p-1)/3, 1) applies when 3 | p-1, then an exhaustive
     (r, s, 1) search.
     """
+    make_modulus(p, 1, arithmetic_only=True)  # validates p
     if p < 5:
         raise OutOfRange("needs p >= 5")
     pp = p * p

@@ -79,6 +79,12 @@ def exact_critical_precision(p: int) -> tuple[int, dict[int, int], dict[int, tup
     raise AssertionError(f"no critical precision below p for p={p}")
 
 
+def naive_integer_increments(p: int, i: int, k: int) -> list[int]:
+    """e_i(n) = (n+1)^(p^i) - n^(p^i) mod p^k for n = 1..p-1, at the given i."""
+    m = p**k
+    return [(pow(n + 1, p**i, m) - pow(n, p**i, m)) % m for n in range(1, p)]
+
+
 def naive_fst_carry(p: int, n: int) -> int:
     r = pow(n, p - 1, p * p)
     assert r % p == 1
@@ -242,14 +248,21 @@ def fermat_pairsum_counts(p: int, k: int) -> tuple[int, int]:
     return units, nonunit_nonzero
 
 
+def naive_extension_members(p: int, k: int, e: int) -> set[int]:
+    """X^(e) = A_k * Y^(e) by the product construction, |X^(e)| = (p-1)*p^e:
+    every core element times every 1 + j*p^(k-e), j < p^e."""
+    m = p**k
+    step = p ** (k - e)
+    return {a * (1 + j * step) % m for a in naive_core_set(p, k) for j in range(p**e)}
+
+
 def naive_extension_pairsum_check(p: int, k: int, e: int) -> tuple[bool, int, int]:
     """(passed, unit_sum_count, coset_union_count) for X = X^(e) by the
     pair loop: the unit sums of X+X against the union of the cosets X*d,
     d running over the increments A(n+1) - A(n), n = 1..p-2."""
     m = p**k
     core = {x % p: x for x in naive_core_set(p, k)}  # n -> A_k(n)
-    step = p ** (k - e)
-    x = {a * (1 + j * step) % m for a in core.values() for j in range(p**e)}
+    x = naive_extension_members(p, k, e)
     increments = {(core[n + 1] - core[n]) % m for n in range(1, p - 1)}
     units = naive_unit_pairsums(x, p, m)
     union = {v * d % m for d in increments for v in x}

@@ -1,4 +1,5 @@
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import oracles
@@ -327,3 +328,14 @@ def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
         conf.write_text(line + "\n")
         code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
         assert code == 6 and line.split("=")[0] in err and str(conf) in err, (line, err)
+
+
+def test_increments_huge_i_is_clamped(capsys):
+    # e_i stops changing at i = k-1, so --i 10^9 costs what --i 2 does
+    _, want, _ = run(capsys, "increments", "-p", "11", "-k", "3", "--i", "2", "--format", "jsonl")
+    start = time.perf_counter()
+    code, got, _ = run(capsys, "increments", "-p", "11", "-k", "3", "--i", "1000000000", "--format", "jsonl")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    strip = lambda out: [{k: v for k, v in json.loads(line).items() if k != "i"} for line in out.splitlines()]
+    assert strip(got) == strip(want)

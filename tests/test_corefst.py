@@ -13,7 +13,7 @@ from pkcore.corefst import (
     integer_increments,
     recurrence_step_identity,
 )
-from pkcore.errors import OutOfRange
+from pkcore.errors import EvenPrime, NotPrime, OutOfRange
 from pkcore.modring import Residue, base_p_encode, make_modulus
 from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
 
@@ -97,12 +97,18 @@ def test_distinct_increments_match_naive():
 
 
 def test_core_table_cached_once_per_cell():
+    # X^(e) reads the table of p^(k-e): the core count and e = 0 share the
+    # table of 11^4, and e = 1, however often, adds the one table of 11^3
     mod = make_modulus(11, 4)
     corefst._core_table.cache_clear()
     core_pairsum_count(mod)
-    extension_pairsum_check(mod, 1)
+    extension_pairsum_check(mod, 0)
     info = corefst._core_table.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+    extension_pairsum_check(mod, 1)
+    extension_pairsum_check(mod, 1)
+    info = corefst._core_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_core_table_increment_sum_closes():
@@ -160,6 +166,24 @@ def test_increment_ratio_is_pth_power():
     assert enc(ratio, 11, 3) == "601"
     assert ratio in pth_power_members(make_modulus(11, 3))
     assert 67 * 727 % m == 793
+
+
+def test_integer_increments_clamp_matches_unclamped():
+    # the powers are taken at i' = min(i, max(k-1, 1)); the values do not move past it
+    for p in (3, 5, 7, 11, 13):
+        for k in range(1, 5):
+            for i in range(1, k + 4):
+                assert integer_increments(p, i, k) == oracles.naive_integer_increments(p, i, k), (p, i, k)
+
+
+def test_bare_p_entry_points_reject_composites():
+    for call in (critical_precision, lambda p: integer_increments(p, 1, 2)):
+        with pytest.raises(NotPrime):
+            call(9)
+        with pytest.raises(NotPrime):
+            call(1)
+        with pytest.raises(EvenPrime):
+            call(2)
 
 
 def test_integer_increments_validation():

@@ -10,7 +10,6 @@ from pkcore.generators import (
     audit_power_divisors,
     corollary_check,
     exception_scan,
-    exceptional,
     generator_lift,
     scan_primes,
     survey_pm1_generators,
@@ -45,7 +44,7 @@ def test_audit_matches_per_divisor_oracle():
 
 def test_exceptional_pairing():
     audits = audit_divisors(11, assert_non_core=False)
-    assert sorted(x.r for x in exceptional(audits)) == [3, 40]
+    assert sorted(x.r for x in audits if x.exceptional) == [3, 40]
     # cofactors of an exceptional divisor are exceptional too
     assert 3 * 40 == 11**2 - 1
 

@@ -1,7 +1,10 @@
 import itertools
 
+import pytest
+
 import oracles
-from pkcore.corefst import core_members, critical_precision
+from pkcore.corefst import build_core_table, core_members, critical_precision
+from pkcore.errors import BadExponent, Oversize
 from pkcore.modring import make_modulus, pth_power_members
 from pkcore.pairsums import (
     core_pairsum_count,
@@ -111,3 +114,25 @@ def test_extension_matches_pair_oracle():
         v = extension_pairsum_check(make_modulus(p, k), e)
         got = (v.passed, v.unit_sum_count, v.coset_union_count)
         assert got == oracles.naive_extension_pairsum_check(p, k, e), (p, k, e)
+
+
+def test_extension_members_are_core_preimages():
+    # X^(e) = A_k * Y^(e) is the preimage of the core of p^(k-e): every level e
+    # of every cell with p^k <= 20000 and p < 200, as in the pair-oracle test
+    primes = [p for p in range(3, 200) if oracles.naive_is_prime(p)]
+    cells = [(p, k) for p in primes for k in range(1, 10) if p**k <= 20000]
+    for p, k in cells:
+        for e in range(k):
+            step = p ** (k - e)
+            core = build_core_table(make_modulus(p, k - e)).core
+            preimage = {a + t * step for a in core for t in range(p**e)}
+            assert oracles.naive_extension_members(p, k, e) == preimage, (p, k, e)
+
+
+def test_extension_level_range():
+    mod = make_modulus(7, 3)
+    for e in (-1, 3):
+        with pytest.raises(BadExponent):
+            extension_pairsum_check(mod, e)
+    with pytest.raises(Oversize):
+        extension_pairsum_check(make_modulus(11, 8, arithmetic_only=True), 1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pkcore import waring
-from pkcore.errors import CheckFailure, NoTripleFound, OutOfRange
+from pkcore.errors import CheckFailure, EvenPrime, NoTripleFound, NotPrime, OutOfRange
 from pkcore.modring import make_modulus, pth_power_members
 from pkcore.pairsums import fermat_pairsum_count
 from pkcore.waring import (
@@ -134,6 +134,16 @@ def test_h_triple_wieferich_fallback():
         assert w.degenerate_h
         assert (w.triple, w.coresum) == (triple, coresum), p
         assert w.coresum % p == 0 and w.coresum > 0
+
+
+def test_h_triple_rejects_composites():
+    for p in (9, 15, 25):
+        with pytest.raises(NotPrime):
+            h_triple_coresum(p)
+    with pytest.raises(EvenPrime):
+        h_triple_coresum(2)
+    with pytest.raises(OutOfRange):
+        h_triple_coresum(3)
 
 
 def test_translation_classes_partition():
