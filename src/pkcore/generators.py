@@ -15,9 +15,16 @@ from mod p^2 to higher precision.
 The audits and the survey walk the divisor lattice of the factored
 number: every divisor r comes with r^(p-1) mod p^k at one multiply per
 step and one pow per prime factor, since n -> n^(p-1) is multiplicative.
-Orders then come from the split G_k = A_k * B_k (modring.split_order):
+One walker (_lattice) yields plain values in lattice order; it runs once
+with weights q for the divisors and once with weights q^(p-1) mod m for
+the powers, and the two lists zip into (r, r^(p-1)) pairs. The exception
+scan walks the powers alone and walks the divisors only for the few
+primes that have an exceptional one. Orders come from the split
+G_k = A_k * B_k (modring.split_order):
 ord(r) = ord(r mod p) * p^(k - v_p(r^(p-1) - 1)), or ord(r mod p) when
-r^(p-1) = 1.
+r^(p-1) = 1. DivisorAudit and GeneratorVerdict are slotted, mutable
+dataclasses: a frozen one pays object.__setattr__ per field, and the
+audits build one record per divisor.
 
 Every per-prime survey (these scans, the CLI's kp and note4) runs on
 scan_primes, the one prime loop: ordered blocks, a process pool under
@@ -35,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -69,7 +76,7 @@ CHECKPOINT_VERSION = 1
 WIEFERICH_BATCH = 8  # primes sharing one pow; wider batches lose to the growing modulus M
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DivisorAudit:
     p: int
     r: int
@@ -87,21 +94,32 @@ class DivisorAudit:
         return self.is_core_mod_p2 and not self.sign_trivial
 
 
-def _divisor_powers(p: int, fac: dict[int, int], m: int) -> list[tuple[int, int]]:
-    """(r, r^(p-1) mod m) for every divisor r of prod q^e over fac, (1, 1) first.
+def _lattice(weights: Iterable[int], exponents: Iterable[int], m: int) -> list[int]:
+    """prod w^i mod m over every choice of 0 <= i <= e for each (w, e) of
+    zip(weights, exponents), in lattice order: the empty product 1 first,
+    then the layers of each weight in turn.
 
-    One pow per prime factor q; each lattice step r -> r*q then
-    multiplies the power by q^(p-1) mod m.
+    Over fac = {q: e}, weights q and any m > prod q^e give the divisors
+    of prod q^e, and weights q^(p-1) mod m give their (p-1)-th powers mod
+    m in the same order, one multiply per step since n -> n^(p-1) is
+    multiplicative.
     """
-    pairs = [(1, 1)]
-    for q, e in fac.items():
-        w = pow(q, p - 1, m)
-        layer, grown = pairs, list(pairs)
+    values = [1]
+    for w, e in zip(weights, exponents):
+        layer, grown = values, list(values)
         for _ in range(e):
-            layer = [(r * q, x * w % m) for r, x in layer]
+            layer = [x * w % m for x in layer]
             grown += layer
-        pairs = grown
-    return pairs
+        values = grown
+    return values
+
+
+def _divisor_powers(p: int, fac: dict[int, int], m: int) -> list[tuple[int, int]]:
+    """(r, r^(p-1) mod m) for every divisor r of prod q^e over fac, (1, 1)
+    first: the two lattice walks zipped, one pow per prime factor q."""
+    divisors = _lattice(fac, fac.values(), math.prod(q ** e for q, e in fac.items()) + 1)
+    powers = _lattice([pow(q, p - 1, m) for q in fac], fac.values(), m)
+    return list(zip(divisors, powers))
 
 
 def _audits(p: int, n: int, fac: dict[int, int]) -> list[DivisorAudit]:
@@ -165,12 +183,19 @@ def exception_row(p: int) -> tuple[int, int] | None:
     No divisor is raised to the p-th power. Every r is a unit, and
     r^p = r mod p^2 exactly when r^(p-1) = 1 mod p^2, i.e. when its
     carry r' (r^(p-1) = 1 + r'p mod p^2) is 0 mod p. The (p-1)-th powers
-    come off the divisor lattice of p^2-1, one pow per prime factor.
+    come off the divisor lattice of p^2-1 as plain values, one pow per
+    prime factor. r = 1 and r = p^2-1 always give 1, so p has an
+    exceptional divisor exactly when more than two values are 1; only
+    then are the divisors themselves walked, in the same lattice order,
+    to find the smallest such r.
     """
-    top = p * p - 1
-    pairs = _divisor_powers(p, _p2_minus_1_factorization(p), p * p)
-    r = min((r for r, w in pairs if w == 1 and 1 < r < top), default=0)
-    return (p, r) if r else None
+    p2 = p * p
+    fac = _p2_minus_1_factorization(p)
+    powers = _lattice([pow(q, p - 1, p2) for q in fac], fac.values(), p2)
+    if powers.count(1) <= 2:
+        return None
+    divisors = _lattice(fac, fac.values(), p2)  # every divisor of p^2-1 is below p^2
+    return (p, min(r for r, w in zip(divisors, powers) if w == 1 and 1 < r < p2 - 1))
 
 
 def exception_scan(p_min: int, p_max: int) -> list[tuple[int, int]]:
@@ -311,7 +336,7 @@ def corollary_check(p: int, k_max: int = 4, samples: int = 8) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GeneratorVerdict:
     p: int
     k: int

@@ -8,9 +8,10 @@ from the core itself to the p-th powers F. Counting facts verified here:
   precision (every nonzero core sum is a unit: opposite cores cancel
   exactly, so a zero mod p is a zero outright).
 
-  |(F+F) ∩ G| = |F| * |D_2|: increments congruent mod p^2 differ by a
-  factor in the 1-mod-p^2 subgroup, which lies inside F, so the number
-  of distinct F-cosets is pinned at precision 2.
+  |(F+F) ∩ G| = |F| * |D_2| for k >= 2: increments congruent mod p^2
+  differ by a factor in the 1-mod-p^2 subgroup, which lies inside F, so
+  the number of distinct F-cosets is pinned at precision 2. At k = 1, F
+  is every unit and D_1 = {1}, so the count is p-1.
 
 F+F also contains 0 and, for k >= 3, nonzero multiples of p^2 (two
 p-th powers with cancelling cores). Those non-unit sums are counted and
@@ -86,7 +87,7 @@ def core_pairsum_count(mod: PrimePowerModulus, *, kp: int | None = None) -> tupl
 @dataclass(frozen=True)
 class FermatPairsumResult:
     observed: int  # distinct unit sums of two p-th power residues
-    predicted: int  # |F| * |D_2|
+    predicted: int  # |F| * |D_j|, j = min(k, 2)
     nonunit_nonzero: int  # nonzero non-unit sums (multiples of p^2), reported
 
     @property
@@ -95,11 +96,12 @@ class FermatPairsumResult:
 
 
 def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
-    """Count the unit part of F+F and compare it to |F|*|D_2|.
+    """Count the unit part of F+F and compare it to |F|*|D_j|, j = min(k, 2).
 
     F is X^(k-2) for k >= 2 and every unit (X^(0)) at k = 1, so the unit
     count is that of extension_pairsum_check at e = max(k-2, 0); the coset
-    generators are the increments at precision 2, regardless of k. F is
+    generators are the increments at precision 2 for every k >= 2, and
+    D_1 = {1} at k = 1, where F+F covers all p-1 units. F is
     the preimage of A_q, q = p^min(k, 2), and a sum of two of its elements
     is 0 mod p only over A(n) + A(p-n) = 0 mod q, so the non-unit sums are
     exactly the multiples of q (lift any x over A(n); the rest lies over
@@ -108,10 +110,10 @@ def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
     """
     p, k = mod.p, mod.k
     units = extension_pairsum_check(mod, max(k - 2, 0)).unit_sum_count
-    d2 = len(build_core_table(make_modulus(p, 2, arithmetic_only=True)).distinct_increments)
+    d = len(build_core_table(make_modulus(p, min(k, 2), arithmetic_only=True)).distinct_increments)
     return FermatPairsumResult(
         observed=units,
-        predicted=mod.pth_power_order * d2,
+        predicted=mod.pth_power_order * d,
         nonunit_nonzero=mod.modulus // p ** min(k, 2) - 1,
     )
 

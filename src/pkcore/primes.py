@@ -3,7 +3,10 @@
 Deterministic Miller-Rabin below 2^64 (fixed witness set), Baillie-PSW
 above. Factorization is trial division to a bound, then Pollard rho with
 Brent's cycle detection; a cofactor left once trial division has passed
-its square root is prime and is not tested again. factor_table gives a
+its square root is prime and is not tested again. primes_in_range, the
+sieve under every scan block, flags only the odd numbers of its window
+(half the bytes and slice writes of a full segment) and adds 2 by hand,
+building its result in one list. factor_table gives a
 prime factor of every composite up to n, so completely multiplicative
 maps (n -> n^p mod m) need a pow at primes only. Everything here is
 exact integer arithmetic.
@@ -130,16 +133,22 @@ def sieve(limit: int) -> list[int]:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, by a segmented sieve over [lo, hi]."""
+    """Primes p with lo <= p <= hi, by a segmented sieve over the odd
+    numbers of [lo, hi]; 2 is added by hand."""
     if hi < 2 or hi < lo:
         return []
-    lo = max(lo, 2)
-    base = sieve(math.isqrt(hi))
-    flags = bytearray([1]) * (hi - lo + 1)
-    for p in base:
-        start = max(p * p, (lo + p - 1) // p * p)
-        flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-    return list(compress(range(lo, hi + 1), flags))
+    out = [2] if lo <= 2 else []
+    first = max(lo, 3) | 1  # flag i stands for first + 2i
+    n = (hi - first) // 2 + 1  # none when first > hi
+    flags = bytearray([1]) * n
+    for p in sieve(math.isqrt(hi))[1:]:
+        start = max(p * p, (first + p - 1) // p * p)
+        if start % 2 == 0:  # the first odd multiple; odd multiples of p are 2p apart, p flags apart
+            start += p
+        i = (start - first) // 2
+        flags[i::p] = bytes(len(range(i, n, p)))
+    out += compress(range(first, hi + 1, 2), flags)
+    return out
 
 
 _factor_table = array("I")

@@ -1,4 +1,10 @@
+import contextlib
+import importlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -339,3 +345,23 @@ def test_increments_huge_i_is_clamped(capsys):
     assert code == 0
     strip = lambda out: [{k: v for k, v in json.loads(line).items() if k != "i"} for line in out.splitlines()]
     assert strip(got) == strip(want)
+
+
+def test_python_m_pkcore_matches_main():
+    # python -m pkcore runs from the source tree, without an install
+    argv = ["kp", "--to", "50"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pkcore", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.getvalue() and "47" in proc.stdout
+
+
+def test_importing_pkcore_main_runs_nothing():
+    # tools that import every module of the package (perfbench's tracer) must not start the CLI
+    importlib.import_module("pkcore.__main__")

@@ -65,6 +65,22 @@ def test_exception_scan_windows():
     assert exception_scan(3, 3000) == oracles.naive_exception_scan(3, 3000)
 
 
+def test_exception_scan_matches_oracle_to_30000():
+    # every hit of the perfbench window; the rows with exceptional divisors
+    # are the only ones that walk the divisors themselves
+    got = exception_scan(3, 30000)
+    assert len(got) == 34
+    assert got == oracles.naive_exception_scan(3, 30000)
+
+
+def test_exception_row_none_with_only_sign_trivial_ones():
+    # the only divisors of 41^2-1 with r^40 = 1 mod 41^2 are 1 and 41^2-1
+    p = 41
+    assert [r for r in oracles.naive_divisors(p * p - 1) if pow(r, p - 1, p * p) == 1] == [1, p * p - 1]
+    assert generators.exception_row(p) is None
+    assert generators.exception_row(11) == (11, 3)
+
+
 def test_wieferich_small_window():
     assert wieferich_scan(4000) == [1093, 3511]
     assert wieferich_scan(1000) == []

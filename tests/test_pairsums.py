@@ -50,6 +50,15 @@ def test_fermat_counts_golden():
         assert r.nonunit_nonzero == extras, (p, k)
 
 
+def test_fermat_k1_matches():
+    # at k = 1, F is every unit and D_1 = {1}: F+F covers the p-1 units
+    for p in (3, 5, 7, 11, 13):
+        mod = make_modulus(p, 1)
+        r = fermat_pairsum_count(mod)
+        want = oracles.naive_unit_pairsums(set(pth_power_members(mod)), p, p)
+        assert r.matches and r.observed == r.predicted == len(want) == p - 1, p
+
+
 def test_fermat_predicted_uses_distinct_increments():
     for p, k in [(5, 3), (7, 3), (11, 3), (13, 2)]:
         mod = make_modulus(p, k)

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from pkcore.errors import FactorizationFailure
+from pkcore.generators import scan_primes
 from pkcore.primes import divisors, factor_table, factorize, is_prime, primes_in_range, sieve
 
 
@@ -48,6 +49,30 @@ def test_primes_in_range_windows():
     windows = [(2**20 - 400, 2**20 + 400), (5000, 5300), (10**6 + 3, 10**6 + 3), (97, 97), (0, 1), (0, 40), (24, 28)]
     for lo, hi in windows:
         assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if oracles.naive_is_prime(n)], (lo, hi)
+
+
+def test_primes_in_range_every_small_window():
+    want = [n for n in range(151) if oracles.naive_is_prime(n)]
+    for lo in range(151):
+        for hi in range(lo, 151):
+            assert primes_in_range(lo, hi) == [n for n in want if lo <= n <= hi], (lo, hi)
+
+
+def test_primes_in_range_near_base_prime_squares():
+    # even and odd lo just below, on and above q^2 for base primes q = 3..29,
+    # e.g. the windows 120-122, 168-170 and 360-362
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+        for lo in range(q * q - 3, q * q + 4):
+            for hi in (lo, lo + 1, lo + 2, lo + 50):
+                got = primes_in_range(lo, hi)
+                assert got == [n for n in range(lo, hi + 1) if oracles.naive_is_prime(n)], (lo, hi)
+
+
+def test_scan_primes_small_blocks():
+    for lo, hi in [(0, 400), (2, 401), (3, 400), (120, 371)]:
+        want = [n for n in range(lo, hi + 1) if oracles.naive_is_prime(n)]
+        for block in (1, 2, 3, 4, 5, 7, 8, 16, 33):
+            assert scan_primes(list, lo, hi, block=block) == want, (lo, hi, block)
 
 
 def test_factor_table():
