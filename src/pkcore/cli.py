@@ -92,11 +92,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+            origin[key] = "--" + key.replace("_", "-")
     for key in ("table_bound", "jobs", "base"):
         try:
             cfg[key] = int(cfg[key])
         except ValueError:
             raise BadConfig(f"{key} = {cfg[key]!r} from {origin[key]} is not an integer") from None
+    if cfg["table_bound"] < 1:
+        raise BadConfig(f"table_bound = {cfg['table_bound']} from {origin['table_bound']} must be at least 1")
     if cfg["format"] not in FORMATS:
         raise BadConfig(
             f"format = {cfg['format']!r} from {origin['format']} is not one of {', '.join(FORMATS)}"
@@ -110,8 +113,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 RESIDUE_FIELDS = {
     "core": ("core", "increment"),
     "increments": ("value",),
-    "decompose": (),
-    "waring": (),
+    "decompose": ("residue",),
+    "waring": ("residue",),
     "pairsums": (),
     "divisors": (),
     "kp": (),
@@ -127,7 +130,7 @@ def _columns(rows: list[dict]) -> list[str]:
 
 
 def _fmt_value(command: str, key: str, value, mod) -> str:
-    if mod is not None and key in RESIDUE_FIELDS.get(command, ()):
+    if mod is not None and key in RESIDUE_FIELDS.get(command, ()) and isinstance(value, int):
         return base_p_encode(Residue(value, mod))
     if mod is not None and key in RESIDUE_LIST_FIELDS.get(command, ()) and isinstance(value, (list, tuple)):
         return "+".join(base_p_encode(Residue(v, mod)) for v in value)

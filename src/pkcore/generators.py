@@ -35,6 +35,11 @@ consecutive primes p_0 < ... < p_7: with M = prod p_i^2,
 x = base^p_0 mod M, and stepping x by base^(p_i - p_(i-1)) mod M gives
 base^p_i mod M, whose reduction mod p_i^2 is base^p_i mod p_i^2 exactly,
 for every base >= 2 (p dividing base included).
+
+concurrent.futures is imported inside scan_primes, right before a pool
+of two or more workers starts, not at module level: it pulls in
+multiprocessing, pickle, socket, logging and queue (~25 ms), which only
+--jobs > 1 uses, so importing pkcore does not load them.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -303,6 +307,8 @@ def scan_primes(
     spans = [(rows, a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
     workers = min(jobs, len(spans))
     out: list = []
+    if workers > 1:  # not at module level: importing pkcore skips the pool stack
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = pool.map(_scan_block, spans) if pool else map(_scan_block, spans)
         for (_, _, end), block_rows in zip(spans, results):

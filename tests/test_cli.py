@@ -12,7 +12,7 @@ import oracles
 import pkcore.cli
 import pkcore.pairsums
 import pytest
-from pkcore import corefst, generators
+from pkcore import corefst
 from pkcore.cli import main, parse_jsonl, render_human
 from pkcore.errors import CheckFailure
 from pkcore.modring import base_p_decode, make_modulus
@@ -45,11 +45,12 @@ def test_core_5_2_rows(capsys):
 
 
 def test_jsonl_round_trip(capsys):
-    code, human, _ = run(capsys, "pairsums", "-p", "7", "-k", "3")
-    assert code == 0
-    code, jsonl, _ = run(capsys, "pairsums", "-p", "7", "-k", "3", "--format", "jsonl")
-    assert code == 0
-    assert render_human(parse_jsonl(jsonl)) == human
+    for argv in (("pairsums", "-p", "7", "-k", "3"), ("decompose", "-p", "7", "-k", "3", "14")):
+        code, human, _ = run(capsys, *argv)
+        assert code == 0
+        code, jsonl, _ = run(capsys, *argv, "--format", "jsonl")
+        assert code == 0
+        assert render_human(parse_jsonl(jsonl)) == human, argv
 
 
 def test_jsonl_records_self_describing(capsys):
@@ -145,10 +146,19 @@ def test_bad_format_exit():
 
 def test_decompose_hit_and_miss(capsys):
     code, out, _ = run(capsys, "decompose", "-p", "7", "-k", "3", "14")
-    assert code == 0 and "001+043+643" in out
+    assert code == 0 and out.splitlines()[2].split() == ["020", "3", "001+043+643"]  # 14 is 020 in base 7
+    _, out, _ = run(capsys, "decompose", "-p", "7", "-k", "3", "14", "--format", "jsonl")
+    assert json.loads(out)["residue"] == 14  # machine formats keep raw integers
     # 2 mod 27 is not a unit cube, so capping at one summand must miss
     code, out, _ = run(capsys, "decompose", "-p", "3", "-k", "3", "2", "--max-t", "1")
     assert code == 2
+
+
+def test_waring_witness_residues_render_base_p(capsys):
+    code, human, _ = run(capsys, "waring", "-p", "5", "-k", "2")
+    assert code == 0
+    witness_rows = [line.split() for line in human.splitlines()[3:]]
+    assert witness_rows == [["00", "4", "01+01+44+44"], ["01", "3", "01+01+44"]]
 
 
 def test_decompose_max_t_below_one_is_bad_input(capsys):
@@ -248,7 +258,8 @@ def test_scan_jobs_parity(monkeypatch, capsys):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(generators, "ProcessPoolExecutor", RecordingPool)
+    # scan_primes imports the pool class from concurrent.futures when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     for argv in (
         ("scan", "wieferich", "--to", "4000"),
         ("scan", "exceptions", "--to", "2000"),
@@ -323,17 +334,22 @@ def test_waring_3_16_under_default_bound(capsys):
 
 def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
-    for key, value in [("JOBS", "abc"), ("TABLE_BOUND", "1e6"), ("BASE", "two"), ("FORMAT", "xml")]:
+    bad = [("JOBS", "abc"), ("TABLE_BOUND", "1e6"), ("TABLE_BOUND", "0"), ("BASE", "two"), ("FORMAT", "xml")]
+    for key, value in bad:
         monkeypatch.setenv(f"PKCORE_{key}", value)
         code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
         assert code == 6 and f"PKCORE_{key}" in err and key.lower() in err, (key, err)
         monkeypatch.delenv(f"PKCORE_{key}")
     conf = tmp_path / "pk.conf"
     monkeypatch.setenv("PKCORE_CONFIG", str(conf))
-    for line in ("table_bound=big", "jobs=2.5", "base=", "format=xml"):
+    for line in ("table_bound=big", "table_bound=0", "jobs=2.5", "base=", "format=xml"):
         conf.write_text(line + "\n")
         code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
         assert code == 6 and line.split("=")[0] in err and str(conf) in err, (line, err)
+    # a bound below 1 is bad config naming its origin, not an oversize modulus (exit 4)
+    conf.unlink()
+    code, out, err = run(capsys, "core", "-p", "5", "-k", "2", "--table-bound", "-1")
+    assert code == 6 and out == "" and "--table-bound" in err and "exceeds" not in err, err
 
 
 def test_increments_huge_i_is_clamped(capsys):
@@ -347,14 +363,17 @@ def test_increments_huge_i_is_clamped(capsys):
     assert strip(got) == strip(want)
 
 
+def _run_from_source(*args):
+    """A fresh interpreter with the source tree first on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_python_m_pkcore_matches_main():
     # python -m pkcore runs from the source tree, without an install
     argv = ["kp", "--to", "50"]
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pkcore", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = _run_from_source("-m", "pkcore", *argv)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -365,3 +384,16 @@ def test_python_m_pkcore_matches_main():
 def test_importing_pkcore_main_runs_nothing():
     # tools that import every module of the package (perfbench's tracer) must not start the CLI
     importlib.import_module("pkcore.__main__")
+
+
+def test_import_leaves_pool_stack_unloaded():
+    # the process-pool stack loads only when a scan starts a pool of 2+ workers
+    proc = _run_from_source("-c", """
+import sys
+import pkcore, pkcore.cli
+print([m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules])
+from pkcore.generators import wieferich_scan
+print(wieferich_scan(4000, jobs=2), "concurrent.futures" in sys.modules)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[1093, 3511] True"]

@@ -133,7 +133,8 @@ def test_pool_capped_at_block_count(monkeypatch):
             self.blocks = len(items)
             return map(fn, items)
 
-    monkeypatch.setattr(generators, "ProcessPoolExecutor", RecordingPool)
+    # scan_primes imports the pool class from concurrent.futures when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     # 11 numbers in [2, 12] make at most 11 blocks, so 64 jobs must not start 64 workers
     assert wieferich_scan(12, base=5, jobs=64) == [2]
     assert [(p.max_workers, p.blocks) for p in pools] == [(11, 11)]
