@@ -12,6 +12,13 @@ kernel, kp, exceptions and note4 through per-prime rows. --jobs is
 accepted by kp and scan only, --table-bound only by the commands that
 take -p and -k.
 
+Each call is parsed once: when argv[0] names a subcommand, that
+subcommand's parser alone reads the rest, and leftovers get the
+top-level parser's "unrecognized arguments" error. Everything else (no
+argv, -h/--help, an unknown command, an option first) goes through the
+top-level parser, which stays the one source of help, usage and
+command names.
+
 Config precedence for table_bound/format/jobs/base:
 flags > PKCORE_* environment > key=value config file > defaults.
 The config file path comes from PKCORE_CONFIG, else ./pkcore.conf.
@@ -439,17 +446,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-t", dest="max_t", type=int, default=4)
     sp.set_defaults(func=cmd_decompose)
 
+    parser.commands = sub.choices  # name -> subparser, for _parse_argv
     return parser
 
 
 _parser: argparse.ArgumentParser | None = None
 
 
-def main(argv=None) -> int:
+def _parse_argv(argv=None) -> argparse.Namespace:
+    """One argparse pass: a known subcommand goes to its own parser alone."""
     global _parser
     if _parser is None:  # built on first use, then reused by every call
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h, an unknown command or an option first
+        return _parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:  # what the top-level parse_args reports for the same argv
+        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse_argv(argv)
     try:
         cfg = resolve_config(args)
         t0 = time.perf_counter()

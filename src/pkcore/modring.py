@@ -59,7 +59,7 @@ class PrimePowerModulus:
     def require_tables(self) -> None:
         if not self.tables_enabled:
             raise Oversize(
-                f"p^k = {self.modulus} exceeds the table bound; "
+                f"p^k = {self.p}^{self.k} exceeds the table bound; "
                 "this descriptor is arithmetic-only"
             )
 
@@ -77,7 +77,8 @@ def make_modulus(
 
     Set-returning operations need p^k <= table_bound; pass
     arithmetic_only=True to construct an oversize descriptor whose
-    table operations are disabled rather than failing here.
+    table operations are disabled rather than failing here. A table
+    request fails before p^k is computed when k alone rules it out.
     """
     if p == 2:
         raise EvenPrime("p = 2 is not supported (unit group not cyclic for k >= 3)")
@@ -85,17 +86,17 @@ def make_modulus(
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise BadExponent(f"precision exponent k must be >= 1, got {k}")
-    modulus = p ** k
-    tables = modulus <= table_bound
+    # p >= 3, so p^k > 2^k > table_bound once k reaches the bound's bit length
+    tables = k < table_bound.bit_length() and p ** k <= table_bound
     if not tables and not arithmetic_only:
         raise Oversize(
-            f"p^k = {modulus} exceeds table bound {table_bound}; "
+            f"p^k = {p}^{k} exceeds table bound {table_bound}; "
             "raise --table-bound or request an arithmetic-only descriptor"
         )
     return PrimePowerModulus(
         p=p,
         k=k,
-        modulus=modulus,
+        modulus=p ** k,
         units_order=(p - 1) * p ** (k - 1),
         ext_order=p ** (k - 1),
         tables_enabled=tables,

@@ -126,6 +126,85 @@ def test_parser_built_once(monkeypatch, capsys):
     assert first == second and len(built) == 1
 
 
+def test_known_command_parsed_once(monkeypatch, capsys):
+    parsed = []
+    real = pkcore.cli._Parser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pkcore.cli._Parser, "parse_known_args", counted)
+    code, _, _ = run(capsys, "decompose", "-p", "7", "-k", "3", "14")
+    assert code == 0 and parsed == ["pkcore decompose"]
+
+
+VALID_ARGV = [
+    ["core", "-p", "5", "-k", "2"],
+    ["core", "-p", "5", "-k", "2", "--format", "csv", "--table-bound", "100"],
+    ["increments", "-p", "11", "-k", "3", "--i", "2", "--format=jsonl"],
+    ["kp", "--from", "5", "--to", "50", "--jobs", "2"],
+    ["pairsums", "-p", "7", "-k", "3", "--table-bound", "1000"],
+    ["waring", "--format", "human", "-p", "3", "-k", "4"],
+    ["divisors", "-p", "11"],
+    ["scan", "wieferich", "--to", "100", "--base", "3", "--jobs", "2", "--checkpoint", "ck.jsonl"],
+    ["scan", "note4", "--from", "5", "--to", "30", "-k", "4"],
+    ["scan", "exceptions", "--to", "50", "--format", "jsonl"],
+    ["decompose", "-p", "7", "-k", "3", "14", "--max-t", "3"],
+    ["decompose", "-p", "7", "-k", "3", "--", "-5"],
+]
+
+
+def test_single_parse_namespace_matches_full_parser():
+    for argv in VALID_ARGV:
+        single = pkcore.cli._parse_argv(argv)
+        assert vars(single) == vars(pkcore.cli._parser.parse_args(argv)), argv
+    assert {argv[0] for argv in VALID_ARGV} == set(pkcore.cli._parser.commands)
+
+
+PARITY_ARGV = [
+    [],
+    ["--help"],
+    ["core", "-h"],
+    ["nope"],
+    ["core", "-p", "5", "-k", "2", "extra"],
+    ["divisors", "-p", "11", "--jobs", "2"],
+    ["decompose", "-p", "7", "-k", "3"],
+    ["kp", "--to", "x"],
+    ["core", "-p", "5", "-k", "2", "--format", "bogus"],
+    ["scan", "bogus", "--to", "5"],
+    ["--format", "jsonl", "core", "-p", "5", "-k", "2"],
+    ["core", "-p", "5", "-k", "2"],
+    ["decompose", "-p", "7", "-k", "3", "14", "--format", "jsonl"],
+]
+
+
+def test_single_parse_output_matches_full_parser(monkeypatch, capsys):
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, "".join(line for line in err.splitlines(True) if not line.startswith("elapsed: "))
+
+    single = [outcome(argv) for argv in PARITY_ARGV]
+    monkeypatch.setattr(pkcore.cli._parser, "commands", {})  # every argv takes the top-level parser
+    full = [outcome(argv) for argv in PARITY_ARGV]
+    for argv, got, want in zip(PARITY_ARGV, single, full):
+        assert got == want, argv
+    assert [code for code, _, _ in single] == [6, 0, 0, 6, 6, 6, 6, 6, 6, 6, 6, 0, 0]
+
+
+def test_oversize_rejected_before_computing_pk(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "core", "-p", "3", "-k", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == "" and "3^1000000000" in err and "table-bound" in err
+    code, _, err = run(capsys, "waring", "-p", "3", "-k", "5000")
+    assert code == 4 and "3^5000" in err and len(err) < 200, err
+
+
 def test_not_prime_exit(capsys):
     code, _, err = run(capsys, "core", "-p", "4", "-k", "2")
     assert code == 3 and "not prime" in err

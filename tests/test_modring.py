@@ -38,6 +38,22 @@ def test_make_modulus_validation():
         mod.require_tables()
 
 
+def test_oversize_named_by_p_and_k_not_by_value():
+    # exactly at the bound is allowed, one step past it is not
+    assert make_modulus(3, 5, table_bound=3**5).tables_enabled
+    for p, k, bound in [(3, 5, 3**5 - 1), (3, 17, 1 << 26), (3, 5000, 1 << 26), (5, 2, 8)]:
+        with pytest.raises(Oversize) as exc:
+            make_modulus(p, k, table_bound=bound)
+        assert f"{p}^{k}" in str(exc.value) and str(bound) in str(exc.value)
+        assert str(p**k) not in str(exc.value)
+    # arithmetic-only descriptors still carry p^k; their refusal names p and k
+    mod = make_modulus(3, 5000, arithmetic_only=True)
+    assert mod.modulus == 3**5000 and not mod.tables_enabled
+    with pytest.raises(Oversize) as exc:
+        mod.require_tables()
+    assert "3^5000" in str(exc.value) and len(str(exc.value)) < 100
+
+
 def test_orders():
     mod = make_modulus(11, 3)
     assert mod.units_order == 10 * 121
