@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -341,8 +342,28 @@ def _note4_row(k: int, p: int) -> dict:
             "minus_one_in_cycle": best.minus_one_in_cycle}
 
 
+def _note4_orders_printable(hi: int, k: int) -> None:
+    """Refuse a -k whose orders could not be printed: note4 reports orders
+    mod p^k up to (p-1)*p^(k-1), so (hi-1)*hi^(k-1) bounds them for p <= hi,
+    and int-to-str conversion stops at sys.get_int_max_str_digits() digits
+    (0 means no limit; Pythons before 3.10.7 have none). Checked before
+    the scan, not at render time."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or hi < 2 or k < 1:
+        return
+    # (hi-1)*hi^(k-1) >= hi^k / 2, so past the first test it has over limit
+    # digits; otherwise it has at most limit + 2 and is cheap to build
+    if k * math.log10(hi) > limit + 1 or (hi - 1) * hi ** (k - 1) >= 10 ** limit:
+        raise OutOfRange(
+            f"-k {k} is too large for --to {hi}: orders up to {hi - 1}*{hi}^{k - 1} "
+            f"have more than {limit} digits, the integer output limit"
+        )
+
+
 def cmd_scan(args, cfg) -> Report:
     base = cfg["base"]
+    if args.kind == "note4":
+        _note4_orders_printable(args.to, args.k)
     scan = partial(
         generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=cfg["jobs"], checkpoint=args.checkpoint
     )

@@ -17,9 +17,14 @@ the h values separate, so there is no size limit on p. The powers n^p
 mod p^K, n <= h+1, come from a power table: n -> n^p is completely
 multiplicative, so a composite n = f*(n/f) costs one product of two
 earlier entries (f from primes.factor_table) and only prime n costs a
-pow. The exact integers (about p*log10(p) digits each) survive only as
-a test oracle. build_core_table, memoised per modulus, is the one
-builder of A_k, its increments and D_k.
+pow. Each level k counts its distinct residues as the size of the set
+{e_1(n) mod p^k}; only the levels below K_p look for a witness, scanning
+n = 1..h ascending and stopping at the first repeated residue. That is
+the pair an exhaustive scan keeping the latest n per residue records,
+since at the first repeat the residue has exactly one earlier n. The
+exact integers (about p*log10(p) digits each) and the exhaustive scan
+survive only as a test oracle. build_core_table, memoised per modulus,
+is the one builder of A_k, its increments and D_k.
 """
 
 from __future__ import annotations
@@ -177,19 +182,18 @@ def critical_precision(p: int) -> CriticalPrecisionResult:
     witnesses: dict[int, tuple[int, int]] = {}
     for k in range(2, top + 1):
         mk = p ** k
-        seen: dict[int, int] = {}
-        collision = None
-        for n, v in enumerate(e1, start=1):
-            r = v % mk
-            if r in seen and collision is None:
-                collision = (seen[r], n)
-            seen[r] = n
-        counts[k] = len(seen)
+        counts[k] = len({v % mk for v in e1})
         if counts[k] == h:
             if k >= p:
                 raise CheckFailure(f"critical precision bound violated: K_{p} = {k} >= p")
             return CriticalPrecisionResult(p=p, kp=k, distinct_counts=counts, witnesses=witnesses)
-        witnesses[k] = collision
+        seen: dict[int, int] = {}
+        for n, v in enumerate(e1, start=1):
+            r = v % mk
+            if r in seen:  # the first repeat: r has exactly one earlier n
+                witnesses[k] = (seen[r], n)
+                break
+            seen[r] = n
     raise CheckFailure(f"no critical precision below p for p = {p}")
 
 

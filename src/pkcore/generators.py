@@ -22,9 +22,15 @@ scan walks the powers alone and walks the divisors only for the few
 primes that have an exceptional one. Orders come from the split
 G_k = A_k * B_k (modring.split_order):
 ord(r) = ord(r mod p) * p^(k - v_p(r^(p-1) - 1)), or ord(r mod p) when
-r^(p-1) = 1. DivisorAudit and GeneratorVerdict are slotted, mutable
-dataclasses: a frozen one pays object.__setattr__ per field, and the
-audits build one record per divisor.
+r^(p-1) = 1. The audited n = p^(2m) - 1 is -1 mod p, so each cofactor
+pair has r * (n/r) = -1 mod p and ord(n/r mod p) = ord(-r mod p), which
+the partner rule (modring) reads off d = ord(r mod p): 2d for odd d,
+d/2 for d = 2 mod 4, d for 4 | d, since -1 is the one involution of the
+cyclic group mod p. The audits walk the divisors ascending and run
+modring.core_order's peel only on the smaller member of each pair.
+DivisorAudit and GeneratorVerdict are slotted, mutable dataclasses,
+built positionally: a frozen one pays object.__setattr__ per field, and
+the audits build one record per divisor.
 
 Every per-prime survey (these scans, the CLI's kp and note4) runs on
 scan_primes, the one prime loop: ordered blocks, a process pool under
@@ -54,7 +60,7 @@ from functools import partial
 
 from .corefst import build_core_table
 from .errors import BadCheckpoint, BadConfig, CheckFailure, OutOfRange
-from .modring import Residue, make_modulus, multiplicative_order, split_order
+from .modring import Residue, core_order, make_modulus, multiplicative_order, split_order
 from .primes import factorize, primes_in_range
 
 __all__ = [
@@ -75,7 +81,7 @@ __all__ = [
     "SCAN_BLOCK",
 ]
 
-SCAN_BLOCK = 1 << 20
+SCAN_BLOCK = 1 << 18
 CHECKPOINT_VERSION = 1
 WIEFERICH_BATCH = 8  # primes sharing one pow; wider batches lose to the growing modulus M
 
@@ -127,26 +133,30 @@ def _divisor_powers(p: int, fac: dict[int, int], m: int) -> list[tuple[int, int]
 
 
 def _audits(p: int, n: int, fac: dict[int, int]) -> list[DivisorAudit]:
-    """The audit of every divisor r > 1 of n = prod q^e over fac (n prime to p).
+    """The audit of every divisor r > 1 of n = prod q^e over fac, n = -1 mod p.
 
     r^p = r^(p-1) * r mod p^3, and the order in G_3 is split_order's
-    ord(r mod p) * ord(r^(p-1)), so no divisor costs a pow mod p^3.
+    ord(r mod p) * ord(r^(p-1)), so no divisor costs a pow mod p^3. The
+    walk is ascending, so it meets the smaller member r of each cofactor
+    pair first: r * (n/r) = -1 mod p, so the partner rule (modring) gives
+    ord(n/r mod p) from ord(r mod p), stored until the walk reaches n/r.
+    Only the smaller half of the divisors runs core_order's peel.
     """
     p2, p3 = p * p, p ** 3
+    partner: dict[int, int] = {}  # n/r -> ord(n/r mod p), for r already walked
     out = []
     for r, w in sorted(_divisor_powers(p, fac, p3))[1:]:
+        s = n // r
+        d = partner.pop(r, 0)
+        if not d:
+            d = core_order(p, r)
+            partner[s] = 2 * d if d & 1 else d // 2 if d & 3 == 2 else d
         rp3 = w * r % p3
         rp2 = rp3 % p2
+        r2 = r % p2
         out.append(DivisorAudit(
-            p=p,
-            r=r,
-            cofactor=n // r,
-            rp_minus_r_mod_p2=(rp2 - r) % p2,
-            rp_minus_r_mod_p3=(rp3 - r) % p3,
-            order_in_g3=split_order(p, 3, r, w),
-            is_core_mod_p2=rp2 == r % p2,
-            is_core_mod_p3=rp3 == r % p3,
-            sign_trivial=r % p2 in (1, p2 - 1),
+            p, r, s, (rp2 - r) % p2, (rp3 - r) % p3, split_order(p, 3, d, w),
+            rp2 == r2, rp3 == r % p3, r2 == 1 or r2 == p2 - 1,
         ))
     return out
 
@@ -380,7 +390,7 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
     powers = dict(_divisor_powers(p, factorize(p - 1), m) + _divisor_powers(p, factorize(p + 1), m))
     verdicts = []
     for g in sorted(powers)[1:]:  # every g > 1; both lattices hold 1 and 2
-        order = split_order(p, k, g, powers[g])
+        order = split_order(p, k, core_order(p, g), powers[g])
         if order == full:
             klass = "primitiveRoot"
         elif order * 2 == full:

@@ -9,9 +9,21 @@ by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
 Here live the moduli, residues, orders and F_k in closed form (the
 preimage of A_q, q = p^min(k, 2)). An order is read off the split: the
-order of r mod p times the order of r^(p-1) in B_k (split_order), so a
-caller that already holds r^(p-1), such as the divisor lattice in
-generators, pays no further pow mod p^k. The core A_k is built in
+order d of r mod p (core_order, a peel of the primes of p-1 mod p) times
+the order of r^(p-1) in B_k (split_order), so a caller that already
+holds r^(p-1), such as the divisor lattice in generators, pays no
+further pow mod p^k, and a caller that already knows d pays no peel.
+
+The partner rule gives d for free when r*s = -1 mod p: ord(s mod p) =
+ord(-r mod p) is 2d for odd d, d/2 for d = 2 mod 4, and d for 4 | d.
+Proof: G_1 is cyclic of even order p-1, so -1 is its one involution,
+and every element of even order t has r^(t/2) = -1. For odd d, -1 is
+not in <r>, so -r has order lcm(2, d) = 2d. For d = 2 mod 4,
+(-r)^(d/2) = (-1)^(d/2) r^(d/2) = (-1)(-1) = 1, and r = -(-r) has
+order 2*ord(-r) by the odd case, so ord(-r) = d/2. For 4 | d, ord(-r)
+divides d, and d divides lcm(2, ord(-r)), which forces 4 | ord(-r) and
+ord(-r) = d. The divisor audits in generators use it for each cofactor
+pair of p^(2m) - 1 = -1 mod p. The core A_k is built in
 corefst, from its cached per-modulus core table. No X^(e) is built as a
 set: reduction mod p^(k-e) has kernel Y^(e) and maps A_k onto A_(k-e),
 so X^(e) is the preimage of the core of p^(k-e) (see pairsums).
@@ -136,21 +148,25 @@ def _unit_group_primes_mod_p(p: int) -> tuple[int, ...]:
     return tuple(factorize(p - 1))
 
 
-def split_order(p: int, k: int, r: int, w: int) -> int:
-    """Order of a unit r mod p^k, given w = r^(p-1) mod p^k, through G_k = A_k * B_k.
-
-    d = ord(r mod p) is the order of the core part, found by peeling the
-    primes of p-1 with arithmetic mod p. w = (r^d)^((p-1)/d) lies in B_k,
-    which is cyclic of order p^(k-1), and has the order of r^d there since
-    (p-1)/d is prime to p; 1 + a*p^j with p not dividing a has order
-    p^(k-j). d is prime to p, so ord(r) = d * ord(w), and ord(w) = 1 when
-    w = 1.
-    """
-    a = r % p
+def core_order(p: int, a: int) -> int:
+    """ord(a mod p) for a unit a, by peeling the primes of p-1 with arithmetic mod p."""
+    a %= p
     d = p - 1
     for q in _unit_group_primes_mod_p(p):
         while d % q == 0 and pow(a, d // q, p) == 1:
             d //= q
+    return d
+
+
+def split_order(p: int, k: int, d: int, w: int) -> int:
+    """Order of a unit r mod p^k through G_k = A_k * B_k, given the order
+    d = ord(r mod p) of its core part (core_order) and w = r^(p-1) mod p^k.
+
+    w = (r^d)^((p-1)/d) lies in B_k, which is cyclic of order p^(k-1),
+    and has the order of r^d there since (p-1)/d is prime to p;
+    1 + a*p^j with p not dividing a has order p^(k-j). d is prime to p,
+    so ord(r) = d * ord(w), and ord(w) = 1 when w = 1.
+    """
     rest = w - 1
     if rest == 0:
         return d
@@ -166,7 +182,7 @@ def multiplicative_order(n: Residue) -> int:
     if not n.is_unit:
         raise NotAUnit(f"{n.value} is divisible by p = {n.mod.p}")
     p, k, m = n.mod.p, n.mod.k, n.mod.modulus
-    return split_order(p, k, n.value, pow(n.value, p - 1, m))
+    return split_order(p, k, core_order(p, n.value), pow(n.value, p - 1, m))
 
 
 def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:

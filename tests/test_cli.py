@@ -260,6 +260,27 @@ def test_scan_note4_counterexample_free(capsys):
     assert any("halfGroupNoMinusOne" in line for line in out.splitlines())
 
 
+NOTE4_TO_12 = [
+    {"p": 3, "g": 2, "order": 18},
+    {"p": 5, "g": 2, "order": 100},
+    {"p": 7, "g": 3, "order": 294},
+    {"p": 11, "g": 2, "order": 1210},
+]
+
+
+def test_scan_note4_refuses_unprintable_orders(capsys):
+    # orders up to 19*20^199999 would fail at render time, after the scan
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "note4", "--to", "20", "-k", "200000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 6 and out == "" and "-k 200000" in err, err
+    code, out, _ = run(capsys, "scan", "note4", "--to", "12", "--format", "jsonl")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [{key: row[key] for key in ("p", "g", "order")} for row in rows] == NOTE4_TO_12
+    assert all(row["classification"] == "primitiveRoot" and row["minus_one_in_cycle"] for row in rows)
+
+
 def test_scan_exceptions_stream(capsys):
     code, out, _ = run(capsys, "scan", "exceptions", "--to", "40", "--format", "jsonl")
     assert code == 0

@@ -137,8 +137,9 @@ def test_critical_precision_matches_oracle():
 
 
 def test_critical_precision_matches_exact_route():
-    # 2777 is the only prime below 2*10^4 with K_p = 5, past the first K = 4
-    for p in [p for p in range(3, 301) if oracles.naive_is_prime(p)] + [2777]:
+    # 2777 is the only prime below 2*10^4 with K_p = 5, past the first K = 4;
+    # 1151 and 1279 are the slowest K_p below 2000
+    for p in [p for p in range(3, 301) if oracles.naive_is_prime(p)] + [1151, 1279, 2777]:
         res = critical_precision(p)
         assert (res.kp, res.distinct_counts, res.witnesses) == oracles.exact_critical_precision(p), p
 

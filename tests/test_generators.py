@@ -37,7 +37,8 @@ def test_audit_orders_match_sympy():
 
 def test_audit_matches_per_divisor_oracle():
     # every field, against one pow mod p^3 and sympy's order per divisor
-    for p in primes_in_range(3, 499) + [1093, 3511, 8191]:
+    # 1429 and 1871 have the most divisors of p^2-1 below 2000
+    for p in primes_in_range(3, 499) + [1093, 1429, 1871, 3511, 8191]:
         got = [dataclasses.asdict(a) for a in audit_divisors(p, assert_non_core=False)]
         assert got == oracles.naive_audit_divisors(p), p
 
@@ -191,6 +192,14 @@ def test_power_divisor_audit():
     for a in audits:
         if not a.sign_trivial:
             assert not a.is_core_mod_p3, a.r
+
+
+def test_power_divisor_orders_match_sympy():
+    # the partner rule sets the core order of every divisor above sqrt(p^(2m)-1)
+    for p in (5, 7, 11, 13):
+        for m in (1, 2, 3):
+            for a in audit_power_divisors(p, m, assert_non_core=False):
+                assert a.order_in_g3 == oracles.naive_order(a.r, p**3), (p, m, a.r)
 
 
 def test_generator_lift():

@@ -9,12 +9,14 @@ from pkcore.modring import (
     Residue,
     base_p_decode,
     base_p_encode,
+    core_order,
     decompose_unit,
     is_core,
     make_modulus,
     multiplicative_order,
     pth_power_members,
 )
+from pkcore.primes import primes_in_range
 
 
 def dec(text, p, k):
@@ -141,6 +143,29 @@ def test_multiplicative_order_vs_sympy():
         if x % p == 0:
             continue
         assert multiplicative_order(Residue(x, mod)) == oracles.naive_order(x, mod.modulus)
+
+
+def _minus_order(d):
+    """ord(-a mod p) from d = ord(a mod p): the partner rule of the modring docstring."""
+    return 2 * d if d % 2 else d // 2 if d % 4 == 2 else d
+
+
+def _check_partner_rule(p, n):
+    # n = -1 mod p, so r * (n/r) = -1 and n/r has the order of -r
+    orders = {}
+    for r in oracles.naive_divisors(n):
+        a = r % p
+        if a not in orders:
+            orders[a] = core_order(p, a)
+            assert orders[a] == oracles.naive_order(a, p), (p, r)
+        assert core_order(p, (n // r) % p) == _minus_order(orders[a]), (p, r)
+
+
+def test_partner_rule_on_divisors_of_p2_and_p4_minus_1():
+    for p in primes_in_range(3, 1999):
+        _check_partner_rule(p, p * p - 1)
+    for p in primes_in_range(3, 59):
+        _check_partner_rule(p, p**4 - 1)
 
 
 def test_codec_golden():
