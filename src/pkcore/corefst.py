@@ -3,9 +3,12 @@
 A_k(n) = n^(p^(k-1)) mod p^k for 1 <= n < p is the unique core element
 congruent to n mod p. Raising to the p-th power gains exactly one
 significant base-p digit per step while freezing the digits already
-settled, which gives a cheap generation ladder and, through the first
-digit of n^(p-1) mod p^2 (the carry n'), a handle on how the core
-increments d_k(n) = A_k(n+1) - A_k(n) distribute over precisions.
+settled (the ladder), and the first digit of n^(p-1) mod p^2 (the
+carry n') is a handle on how the core increments d_k(n) = A_k(n+1) -
+A_k(n) distribute over precisions. Both powers are completely
+multiplicative, so every per-n table here is a primes.power_table, with
+a pow at prime n only; core_by_recurrence and fst_carry give one value
+each and are the tests' reference for the tables.
 
 Critical precision K_p is the least k at which the h = (p-1)/2 first-half
 increments are pairwise distinct mod p^k. It is already determined by the
@@ -14,17 +17,15 @@ preserved from each i to the next, so the module computes K_p from e_1
 alone and the tests verify the preservation claim numerically. Only e_1
 mod p^K is needed, for a K at or above K_p, with K doubling from 4 until
 the h values separate, so there is no size limit on p. The powers n^p
-mod p^K, n <= h+1, come from a power table: n -> n^p is completely
-multiplicative, so a composite n = f*(n/f) costs one product of two
-earlier entries (f from primes.factor_table) and only prime n costs a
-pow. Each level k counts its distinct residues as the size of the set
-{e_1(n) mod p^k}; only the levels below K_p look for a witness, scanning
-n = 1..h ascending and stopping at the first repeated residue. That is
-the pair an exhaustive scan keeping the latest n per residue records,
-since at the first repeat the residue has exactly one earlier n. The
-exact integers (about p*log10(p) digits each) and the exhaustive scan
-survive only as a test oracle. build_core_table, memoised per modulus,
-is the one builder of A_k, its increments and D_k.
+mod p^K, n <= h+1, are a power table. Each level k counts its distinct
+residues as the size of the set {e_1(n) mod p^k}; only the levels below
+K_p look for a witness, scanning n = 1..h ascending and stopping at the
+first repeated residue. That is the pair an exhaustive scan keeping the
+latest n per residue records, since at the first repeat the residue has
+exactly one earlier n. The exact integers (about p*log10(p) digits
+each) and the exhaustive scan survive only as a test oracle.
+build_core_table, memoised per modulus, is the one builder of A_k, its
+carries, its increments and D_k.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 from .errors import CheckFailure, OutOfRange
 from .modring import PrimePowerModulus, make_modulus
-from .primes import factor_table
+from .primes import power_table
 
 
 def fst_carry(p: int, n: int) -> int:
@@ -105,8 +106,9 @@ class CoreTable:
 def build_core_table(mod: PrimePowerModulus) -> CoreTable:
     """The core table of mod, built once per modulus and then shared.
 
-    This is the only place the core is computed; core_members, the
-    pairsum counts and the corollary check all read it. No extension
+    The only place the core is computed, as the power tables of
+    n^(p^(k-1)) mod p^k and n^(p-1) mod p^2 (the carries); core_members,
+    the pairsum counts and the corollary check all read it. No extension
     X^(e) is built as a set: it is the preimage of the core of p^(k-e),
     so the pairsum counts read that table instead.
     """
@@ -116,20 +118,17 @@ def build_core_table(mod: PrimePowerModulus) -> CoreTable:
 @lru_cache(maxsize=256)
 def _core_table(mod: PrimePowerModulus) -> CoreTable:
     p, k, m = mod.p, mod.k, mod.modulus
-    q = p ** (k - 1)
-    core = []
+    ext = power_table(p ** (k - 1), m, p - 1) + [0]  # A(0) = 0 and A(p) = 0 close the period
+    fermat = power_table(p - 1, p * p, p - 1)
+    # no pow per n checks the products: a wrong one shows as A_k(n) != n mod p
     for n in range(1, p):
-        v = core_by_recurrence(p, n, k)
-        if v != pow(n, q, m):  # cross-check ladder vs direct
-            raise CheckFailure(f"core ladder mismatch at p={p}, k={k}, n={n}")
-        core.append(v)
-    carries = tuple(fst_carry(p, n) for n in range(1, p))
-    ext = [0] + core + [0]  # A(0) = 0 and A(p) = 0 close the period
+        if ext[n] % p != n or fermat[n] % p != 1:
+            raise CheckFailure(f"power table inconsistent at p={p}, k={k}, n={n}")
     increments = tuple((ext[n + 1] - ext[n]) % m for n in range(p))
     return CoreTable(
         mod=mod,
-        core=tuple(core),
-        carries=carries,
+        core=tuple(ext[1:p]),
+        carries=tuple((v - 1) // p for v in fermat[1:]),
         increments=increments,
         distinct_increments=frozenset(increments[1 : (p + 1) // 2]),
     )
@@ -151,16 +150,6 @@ class CriticalPrecisionResult:
     witnesses: dict[int, tuple[int, int]]
 
 
-def _pth_power_table(p: int, top: int, m: int) -> list[int]:
-    """n^p mod m for n = 0..top, a pow at prime n only: (ab)^p = a^p * b^p."""
-    factor = factor_table(top)
-    powers = [0, 1]
-    for n in range(2, top + 1):
-        f = factor[n]
-        powers.append(powers[f] * powers[n // f] % m if f else pow(n, p, m))
-    return powers
-
-
 def critical_precision(p: int) -> CriticalPrecisionResult:
     """Smallest k >= 2 with all of e_1(1..h) pairwise distinct mod p^k.
 
@@ -173,7 +162,7 @@ def critical_precision(p: int) -> CriticalPrecisionResult:
     top = min(4, p)
     while True:
         m = p ** top
-        powers = _pth_power_table(p, h + 1, m)
+        powers = power_table(p, m, h + 1)
         e1 = [(b - a) % m for a, b in zip(powers[1:], powers[2:])]  # e_1(1..h) mod p^top
         if len(set(e1)) == h or top == p:
             break
@@ -205,7 +194,8 @@ def integer_increments(p: int, i: int, k: int) -> list[int]:
     and the core is fixed by the p-th power, so n^(p^i) = A_k(n) for
     every i >= k-1. For n = p, p^(p^i) = 0 mod p^k as soon as p^i >= k,
     and p^(k-1) >= k for p >= 3. Both hold at i' (at k = 1 every i >= 1
-    gives n and 0), so any i costs what i' does.
+    gives n and 0), so any i costs what i' does; the powers are a power
+    table.
     """
     make_modulus(p, 1, arithmetic_only=True)  # validates p
     if i < 1:
@@ -214,8 +204,8 @@ def integer_increments(p: int, i: int, k: int) -> list[int]:
         raise OutOfRange(f"need k >= 1, got {k}")
     m = p ** k
     q = p ** min(i, max(k - 1, 1))
-    powers = [pow(n, q, m) for n in range(1, p + 1)]
-    return [(powers[n] - powers[n - 1]) % m for n in range(1, p)]
+    powers = power_table(q, m, p)
+    return [(b - a) % m for a, b in zip(powers[1:p], powers[2:])]
 
 
 def equivalence_level_multiset(p: int, i: int, k_cap: int) -> list[int]:

@@ -23,10 +23,11 @@ not in <r>, so -r has order lcm(2, d) = 2d. For d = 2 mod 4,
 order 2*ord(-r) by the odd case, so ord(-r) = d/2. For 4 | d, ord(-r)
 divides d, and d divides lcm(2, ord(-r)), which forces 4 | ord(-r) and
 ord(-r) = d. The divisor audits in generators use it for each cofactor
-pair of p^(2m) - 1 = -1 mod p. The core A_k is built in
-corefst, from its cached per-modulus core table. No X^(e) is built as a
-set: reduction mod p^(k-e) has kernel Y^(e) and maps A_k onto A_(k-e),
-so X^(e) is the preimage of the core of p^(k-e) (see pairsums).
+pair of p^(2m) - 1 = -1 mod p. The core A_k is built in corefst, from
+its cached per-modulus core table, and A_q here, both as a
+primes.power_table. No X^(e) is built as a set: reduction mod p^(k-e)
+has kernel Y^(e) and maps A_k onto A_(k-e), so X^(e) is the preimage of
+the core of p^(k-e) (see pairsums).
 
 This module also owns the base-p text codec used by the CLI: fixed-width
 strings, most significant digit first, digits 0-9 then a-z for p <= 36,
@@ -47,7 +48,7 @@ from .errors import (
     Oversize,
     WrongLength,
 )
-from .primes import factorize, is_prime
+from .primes import factorize, is_prime, power_table
 
 DEFAULT_TABLE_BOUND = 1 << 26
 
@@ -192,9 +193,10 @@ def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
     in A_q. Proof: (a + bp)^p = a^p mod p^2, so F_k mod p^2 lies in the
     core A_2, and F_k and the preimage of A_2 both have (p-1)*p^(k-2)
     elements. At k = 1, n^p = n mod p makes every unit a p-th power.
+    A_q is the power table of n^p mod q, n = 1..p-1, distinct mod p.
     """
     q = p ** min(k, 2)
-    return q, tuple(sorted({pow(n, p, q) for n in range(1, p)}))
+    return q, tuple(sorted(power_table(p, q, p - 1)[1:]))
 
 
 def pth_power_members(mod: PrimePowerModulus) -> set[int]:

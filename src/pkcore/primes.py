@@ -7,9 +7,9 @@ its square root is prime and is not tested again. primes_in_range, the
 sieve under every scan block, flags only the odd numbers of its window
 (half the bytes and slice writes of a full segment) and adds 2 by hand,
 building its result in one list. factor_table gives a
-prime factor of every composite up to n, so completely multiplicative
-maps (n -> n^p mod m) need a pow at primes only. Everything here is
-exact integer arithmetic.
+prime factor of every composite up to n, and power_table reads it: a
+completely multiplicative map n -> n^e mod m needs a pow at primes only.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -172,6 +172,17 @@ def factor_table(n: int) -> array:
     if len(_factor_table) <= n:
         _factor_table = _build_factor_table(max(n + 1, 2 * len(_factor_table)))
     return _factor_table
+
+
+def power_table(e: int, m: int, top: int) -> list[int]:
+    """n^e mod m for n = 0..top (e >= 1, m >= 2, top >= 1), a pow at prime n only:
+    a composite n = f*(n/f), f from factor_table, has n^e = f^e * (n/f)^e."""
+    factor = factor_table(top)
+    powers = [0, 1]
+    for n in range(2, top + 1):
+        f = factor[n]
+        powers.append(powers[f] * powers[n // f] % m if f else pow(n, e, m))
+    return powers
 
 
 def _pollard_rho_brent(n: int, rng: random.Random, max_iters: int) -> int:

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
+from .corefst import build_core_table
 from .errors import CheckFailure, NoTripleFound, OutOfRange
 from .modring import PrimePowerModulus, make_modulus, pth_power_base
 
@@ -294,7 +295,7 @@ def h_triple_coresum(p: int) -> TripleWitness:
     2*A(h)+1 = 0 mod p always; it degenerates to 0 mod p^2 exactly when
     2^p = 2 mod p^2 (base-2 carry vanishes), in which case the fallback
     triple ((p-1)/3, 2(p-1)/3, 1) applies when 3 | p-1, then an exhaustive
-    (r, s, 1) search.
+    (r, s, 1) search over the core table of p^2.
     """
     make_modulus(p, 1, arithmetic_only=True)  # validates p
     if p < 5:
@@ -306,16 +307,10 @@ def h_triple_coresum(p: int) -> TripleWitness:
         raise CheckFailure(f"(h,h,1) core sum not a multiple of p at p={p}")
     if c != 0:
         return TripleWitness(m=(c // p) % p, triple=(h, h, 1), coresum=c)
-    if (p - 1) % 3 == 0:
-        r, s = (p - 1) // 3, 2 * (p - 1) // 3
-        c = (pow(r, p, pp) + pow(s, p, pp) + 1) % pp
-        if c % p == 0 and c != 0:
-            return TripleWitness(m=(c // p) % p, triple=(r, s, 1), coresum=c, degenerate_h=True)
-    for r in range(1, p - 1):
-        s = p - 1 - r
-        if s < r:
-            break
-        c = (pow(r, p, pp) + pow(s, p, pp) + 1) % pp
+    core = (0,) + build_core_table(make_modulus(p, 2, arithmetic_only=True)).core  # A_2(n) at n
+    thirds = [((p - 1) // 3, 2 * (p - 1) // 3)] if (p - 1) % 3 == 0 else []
+    for r, s in thirds + [(r, p - 1 - r) for r in range(1, h + 1)]:
+        c = (core[r] + core[s] + 1) % pp
         if c % p == 0 and c != 0:
             return TripleWitness(m=(c // p) % p, triple=(r, s, 1), coresum=c, degenerate_h=True)
     raise NoTripleFound(f"no (r, s, 1) triple with nonzero coresum for p = {p}")

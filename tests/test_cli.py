@@ -99,6 +99,21 @@ def test_kp_check_failure_exits_2(monkeypatch, capsys):
     assert all(r["kp"] == real(p).kp for p, r in recs.items() if p != 7)
 
 
+def test_tables_come_from_the_power_sieve_alone(monkeypatch, capsys):
+    # the ladder and the per-n carry are test routes; a product path that
+    # calls them is a second core builder
+    def banned(*args):
+        raise AssertionError(f"per-n core or carry call {args}")
+
+    monkeypatch.setattr(corefst, "core_by_recurrence", banned)
+    monkeypatch.setattr(corefst, "fst_carry", banned)
+    corefst._core_table.cache_clear()
+    pk = ["-p", "11", "-k", "3"]
+    for argv in (["core", *pk], ["increments", *pk], ["pairsums", *pk], ["decompose", *pk, "1"], ["waring", *pk]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert run(capsys, "kp", "--from", "73", "--to", "73")[0] == 0
+
+
 def test_pairsums_computes_kp_once(monkeypatch, capsys):
     calls = []
     real = corefst.critical_precision

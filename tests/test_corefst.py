@@ -1,9 +1,10 @@
 import random
+from array import array
 
 import pytest
 
 import oracles
-from pkcore import corefst
+from pkcore import corefst, primes
 from pkcore.corefst import (
     build_core_table,
     core_by_recurrence,
@@ -13,8 +14,8 @@ from pkcore.corefst import (
     integer_increments,
     recurrence_step_identity,
 )
-from pkcore.errors import EvenPrime, NotPrime, OutOfRange
-from pkcore.modring import Residue, base_p_encode, make_modulus
+from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange
+from pkcore.modring import Residue, base_p_encode, make_modulus, pth_power_base
 from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
 
 
@@ -78,22 +79,40 @@ def test_core_table_built_once_per_modulus():
 
 
 def test_distinct_increments_match_naive():
-    """D_k is the set of all of d_k(1..p-2), not only of the first half, and
+    """Every per-n table against a route that makes no power table, for
+    every p < 400 and k <= 4: the core and increments against the ladder,
+    the carries against naive_fst_carry, e_i against one pow per n, and
+    A_q against the ladder at precision min(k, 2) and, where p^k <= 2*10^4,
+    against all p-th powers of units mod p^k reduced mod q.
+
+    D_k is the set of all of d_k(1..p-2), not only of the first half, and
     has the naive size. naive_core_element scans the p^(k-1) lifts of n, so
-    the naive count runs where p^k <= 10^6 (every k <= 3, and k = 4 up to
-    p = 31); every cell with k >= 2 checks |D_k| = h exactly from k = K_p on."""
-    for p in (q for q in range(3, 101) if oracles.naive_is_prime(q)):
+    the naive count runs below p = 101 where p^k <= 10^6 (every k <= 3, and
+    k = 4 up to p = 31); every cell with k >= 2 checks |D_k| = h exactly
+    from k = K_p on."""
+    for p in (q for q in range(3, 400) if oracles.naive_is_prime(q)):
         h = (p - 1) // 2
         kp = oracles.naive_critical_precision(p)
+        carries = tuple(oracles.naive_fst_carry(p, n) for n in range(1, p))
+        ladders = {}
         for k in (1, 2, 3, 4):
+            m = p**k
             table = build_core_table(make_modulus(p, k, arithmetic_only=True))
+            ladders[k] = [0] + [core_by_recurrence(p, n, k) for n in range(1, p)] + [0]
+            assert table.core == tuple(ladders[k][1:p]) and table.carries == carries, (p, k)
+            assert table.increments == tuple((b - a) % m for a, b in zip(ladders[k], ladders[k][1:])), (p, k)
             dk = table.distinct_increments
             assert dk == set(table.increments[1 : p - 1]), (p, k)
             assert k == 1 or (len(dk) == h) == (k >= kp), (p, k)
-            m = p**k
-            if m <= 10**6:
+            if p < 101 and m <= 10**6:
                 core = [oracles.naive_core_element(p, k, n) for n in range(1, h + 2)]
                 assert len(dk) == len({(b - a) % m for a, b in zip(core, core[1:])}), (p, k)
+            q, base = pth_power_base(p, k)
+            assert (q, base) == (p ** min(k, 2), tuple(sorted(ladders[min(k, 2)][1:p]))), (p, k)
+            if m <= 2 * 10**4:
+                assert set(base) == {x % q for x in oracles.naive_pth_powers(p, k)}, (p, k)
+            for i in (1, 2, 5):
+                assert integer_increments(p, i, k) == oracles.naive_integer_increments(p, i, k), (p, i, k)
 
 
 def test_core_table_cached_once_per_cell():
@@ -109,6 +128,16 @@ def test_core_table_cached_once_per_cell():
     extension_pairsum_check(mod, 1)
     info = corefst._core_table.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
+
+
+def test_core_table_check_catches_a_wrong_product(monkeypatch):
+    # factor[4] = 3 names a non-divisor, so the sieve writes A_k(3) at n = 4
+    bad = array("I", primes.factor_table(12))
+    bad[4] = 3
+    monkeypatch.setattr(primes, "factor_table", lambda n: bad)
+    for p, k in [(5, 2), (11, 3), (13, 1)]:
+        with pytest.raises(CheckFailure):
+            corefst._core_table.__wrapped__(make_modulus(p, k))
 
 
 def test_core_table_increment_sum_closes():

@@ -5,7 +5,7 @@ import pytest
 import oracles
 from pkcore.errors import FactorizationFailure
 from pkcore.generators import scan_primes
-from pkcore.primes import divisors, factor_table, factorize, is_prime, primes_in_range, sieve
+from pkcore.primes import divisors, factor_table, factorize, is_prime, power_table, primes_in_range, sieve
 
 
 def test_is_prime_small():
@@ -82,6 +82,13 @@ def test_factor_table():
         assert table[m] == want, m
     assert factor_table(50) is table  # shared, not rebuilt for a shorter request
     assert len(factor_table(len(table))) >= 2 * len(table)  # grown at least twofold
+
+
+def test_power_table():
+    past = len(factor_table(1)) + 7  # beyond the shared factor table, so it must grow
+    for e, m, top in [(1, 2, 1), (3, 7, 50), (11, 11**3, 200), (49, 7**3, 6), (12, 13**2, 12), (5, 1000, past)]:
+        assert power_table(e, m, top) == [pow(n, e, m) for n in range(top + 1)], (e, m, top)
+    assert len(factor_table(1)) > past
 
 
 def test_factorize_known():
