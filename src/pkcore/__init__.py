@@ -9,6 +9,7 @@ from .corefst import (
     critical_precision,
     fst_carry,
     integer_increments,
+    pth_power_members,
 )
 from .errors import (
     CheckFailure,
@@ -32,7 +33,6 @@ from .modring import (
     is_core,
     make_modulus,
     multiplicative_order,
-    pth_power_members,
 )
 from .pairsums import core_pairsum_count, fermat_pairsum_count
 from .primes import factorize, is_prime, primes_in_range

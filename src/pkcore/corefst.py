@@ -25,7 +25,9 @@ latest n per residue records, since at the first repeat the residue has
 exactly one earlier n. The exact integers (about p*log10(p) digits
 each) and the exhaustive scan survive only as a test oracle.
 build_core_table, memoised per modulus, is the one builder of A_k, its
-carries, its increments and D_k.
+carries, its increments and D_k. F_k is the preimage of the core A_2,
+so its base A_q, q = p^min(k, 2) (pth_power_base), is read off the
+core table of q too, and pth_power_members tiles it out to p^k.
 """
 
 from __future__ import annotations
@@ -108,9 +110,10 @@ def build_core_table(mod: PrimePowerModulus) -> CoreTable:
 
     The only place the core is computed, as the power tables of
     n^(p^(k-1)) mod p^k and n^(p-1) mod p^2 (the carries); core_members,
-    the pairsum counts and the corollary check all read it. No extension
-    X^(e) is built as a set: it is the preimage of the core of p^(k-e),
-    so the pairsum counts read that table instead.
+    F's base, the h-triple witness, the pairsum counts and the corollary
+    check all read it. No extension X^(e) is built as a set: it is the
+    preimage of the core of p^(k-e), so the pairsum counts read that
+    table instead.
     """
     return _core_table(mod)
 
@@ -138,6 +141,26 @@ def core_members(mod: PrimePowerModulus) -> set[int]:
     """The core A_k as a set: the p-1 residues with n^p = n mod p^k."""
     mod.require_tables()
     return set(build_core_table(mod).core)
+
+
+def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(q, A_q): q = p^min(k, 2) and the p-th powers of units mod q, ascending.
+
+    F_k is exactly the set of residues mod p^k whose reduction mod q lies
+    in A_q. Proof: (a + bp)^p = a^p mod p^2, so F_k mod p^2 lies in the
+    core A_2, and F_k and the preimage of A_2 both have (p-1)*p^(k-2)
+    elements. At k = 1, n^p = n mod p makes every unit a p-th power.
+    A_q is the core of q, read off its core table (1..p-1 at k = 1).
+    """
+    mod = make_modulus(p, min(k, 2), arithmetic_only=True)
+    return mod.modulus, tuple(sorted(build_core_table(mod).core))
+
+
+def pth_power_members(mod: PrimePowerModulus) -> set[int]:
+    """F_k, the p-th powers of units. Equals X^(k-2) for k >= 2."""
+    mod.require_tables()
+    q, base = pth_power_base(mod.p, mod.k)
+    return {a + j for j in range(0, mod.modulus, q) for a in base}
 
 
 @dataclass(frozen=True)

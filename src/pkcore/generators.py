@@ -7,9 +7,12 @@ mod p^2 and so passes the congruence for sign reasons alone, which is
 why divisors congruent to +-1 mod the working modulus are flagged
 sign-trivial and kept out of the exception lists.
 
-Also here: base-b Wieferich-type scans (b^p = b mod p^2), the quadruple
-non-core checks for n in {2, 3}, the generator survey over divisors of
-p-1 and p+1, audits over divisors of p^(2m)-1, and generator lifting
+There is one audit path: audit_divisors is audit_power_divisors at
+m = 1, which audits the divisors of p^(2m)-1 and exempts only those
+that are +-1 mod p^3. It and the exception scan factor p^(2m)-1 as its
+halves p^m-1 and p^m+1. Also here: base-b Wieferich-type scans
+(b^p = b mod p^2), the quadruple non-core checks for n in {2, 3}, the
+generator survey over divisors of p-1 and p+1, and generator lifting
 from mod p^2 to higher precision.
 
 The audits and the survey walk the divisor lattice of the factored
@@ -161,31 +164,42 @@ def _audits(p: int, n: int, fac: dict[int, int]) -> list[DivisorAudit]:
     return out
 
 
-def _p2_minus_1_factorization(p: int) -> dict[int, int]:
-    """p^2 - 1 = (p-1)(p+1), factored as its two halves and merged."""
-    fac = factorize(p - 1)
-    for q, e in factorize(p + 1).items():
+def _p2m_minus_1_factorization(p: int, m: int) -> dict[int, int]:
+    """p^(2m) - 1 = (p^m - 1)(p^m + 1), factored as its two halves and merged."""
+    fac = factorize(p ** m - 1)
+    for q, e in factorize(p ** m + 1).items():
         fac[q] = fac.get(q, 0) + e
     return fac
 
 
-def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
-    """Audit every divisor r > 1 of p^2-1 mod p^2 and mod p^3.
+def audit_power_divisors(p: int, m_exp: int, assert_non_core: bool = True) -> list[DivisorAudit]:
+    """Audit every divisor r > 1 of p^(2m)-1 mod p^2 and mod p^3.
 
-    The mod-p^3 congruence r^p = r must fail for every r (no exclusions
-    needed, including r = p^2-1 whose p-th power is -1, not itself);
-    with assert_non_core a violation raises CheckFailure. The mod-p^2
-    flag is informational; exceptional cases are the non-sign-trivial
-    ones (DivisorAudit.exceptional). The divisors and their (p-1)-th
-    powers come off the lattice of p^2-1 (module docstring).
+    The mod-p^3 congruence r^p = r must fail for every r except those
+    congruent to +-1 mod p^3 (for example p^(2m)-1 itself once m >= 2),
+    which are core for sign reasons; with assert_non_core any other
+    violation raises CheckFailure. The mod-p^2 flag is informational;
+    exceptional cases are the non-sign-trivial ones
+    (DivisorAudit.exceptional). The divisors and their (p-1)-th powers
+    come off the lattice of the two factored halves (module docstring).
     """
+    if m_exp < 1:
+        raise OutOfRange("need m >= 1")
     make_modulus(p, 3, arithmetic_only=True)  # validates p
-    audits = _audits(p, p * p - 1, _p2_minus_1_factorization(p))
+    p3 = p ** 3
+    audits = _audits(p, p ** (2 * m_exp) - 1, _p2m_minus_1_factorization(p, m_exp))
     if assert_non_core:
         for audit in audits:
-            if audit.is_core_mod_p3:
-                raise CheckFailure(f"divisor {audit.r} of {p}^2-1 is core mod {p}^3")
+            if audit.is_core_mod_p3 and audit.r % p3 not in (1, p3 - 1):
+                raise CheckFailure(f"divisor {audit.r} of {p}^{2 * m_exp}-1 is core mod {p}^3")
     return audits
+
+
+def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
+    """audit_power_divisors at m = 1: every divisor r > 1 of p^2-1, none of
+    which is +-1 mod p^3, so the non-core assertion exempts no r (r = p^2-1
+    has p-th power -1, not itself)."""
+    return audit_power_divisors(p, 1, assert_non_core)
 
 
 def exception_row(p: int) -> tuple[int, int] | None:
@@ -204,7 +218,7 @@ def exception_row(p: int) -> tuple[int, int] | None:
     to find the smallest such r.
     """
     p2 = p * p
-    fac = _p2_minus_1_factorization(p)
+    fac = _p2m_minus_1_factorization(p, 1)
     powers = _lattice([pow(q, p - 1, p2) for q in fac], fac.values(), p2)
     if powers.count(1) <= 2:
         return None
@@ -402,27 +416,6 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
         )
     satisfied = any(v.klass != "other" for v in verdicts)
     return GeneratorSurvey(p=p, k=k, verdicts=tuple(verdicts), satisfied=satisfied)
-
-
-def audit_power_divisors(p: int, m_exp: int, k: int = 3, assert_non_core: bool = True) -> list[DivisorAudit]:
-    """Audit divisors r > 1 of p^(2m)-1 for r^p = r mod p^k.
-
-    Divisors congruent to +-1 mod p^k (for example p^(2m)-1 itself once
-    2m >= k) are core for sign reasons and exempt from the non-core
-    assertion; they stay in the output flagged sign_trivial.
-    """
-    if m_exp < 1:
-        raise OutOfRange("need m >= 1")
-    make_modulus(p, 3, arithmetic_only=True)  # validates p
-    n = p ** (2 * m_exp) - 1
-    mk = p ** k
-    audits = _audits(p, n, factorize(n))
-    if assert_non_core:
-        for audit in audits:
-            r = audit.r
-            if r % mk not in (1, mk - 1) and pow(r, p, mk) == r % mk:
-                raise CheckFailure(f"divisor {r} of {p}^{2 * m_exp}-1 is core mod {p}^{k}")
-    return audits
 
 
 def generator_lift(p: int, g: int, k_max: int = 4) -> dict[int, bool]:

@@ -7,12 +7,12 @@ B_k = {units = 1 mod p} of order p^(k-1), generated by p+1. Between A_k
 and G_k sit the core extensions X^(e) = A_k * Y^(e) with Y^(e) generated
 by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
-Here live the moduli, residues, orders and F_k in closed form (the
-preimage of A_q, q = p^min(k, 2)). An order is read off the split: the
-order d of r mod p (core_order, a peel of the primes of p-1 mod p) times
-the order of r^(p-1) in B_k (split_order), so a caller that already
-holds r^(p-1), such as the divisor lattice in generators, pays no
-further pow mod p^k, and a caller that already knows d pays no peel.
+Here live the moduli, residues and orders; the sets A_k and F_k are
+built in corefst, from its core table. An order is read off the split:
+the order d of r mod p (core_order, a peel of the primes of p-1 mod p)
+times the order of r^(p-1) in B_k (split_order), so a caller that
+already holds r^(p-1), such as the divisor lattice in generators, pays
+no further pow mod p^k, and a caller that already knows d pays no peel.
 
 The partner rule gives d for free when r*s = -1 mod p: ord(s mod p) =
 ord(-r mod p) is 2d for odd d, d/2 for d = 2 mod 4, and d for 4 | d.
@@ -23,11 +23,9 @@ not in <r>, so -r has order lcm(2, d) = 2d. For d = 2 mod 4,
 order 2*ord(-r) by the odd case, so ord(-r) = d/2. For 4 | d, ord(-r)
 divides d, and d divides lcm(2, ord(-r)), which forces 4 | ord(-r) and
 ord(-r) = d. The divisor audits in generators use it for each cofactor
-pair of p^(2m) - 1 = -1 mod p. The core A_k is built in corefst, from
-its cached per-modulus core table, and A_q here, both as a
-primes.power_table. No X^(e) is built as a set: reduction mod p^(k-e)
-has kernel Y^(e) and maps A_k onto A_(k-e), so X^(e) is the preimage of
-the core of p^(k-e) (see pairsums).
+pair of p^(2m) - 1 = -1 mod p. No X^(e) is built as a set: reduction
+mod p^(k-e) has kernel Y^(e) and maps A_k onto A_(k-e), so X^(e) is the
+preimage of the core of p^(k-e) (see pairsums).
 
 This module also owns the base-p text codec used by the CLI: fixed-width
 strings, most significant digit first, digits 0-9 then a-z for p <= 36,
@@ -48,7 +46,7 @@ from .errors import (
     Oversize,
     WrongLength,
 )
-from .primes import factorize, is_prime, power_table
+from .primes import factorize, is_prime
 
 DEFAULT_TABLE_BOUND = 1 << 26
 
@@ -184,26 +182,6 @@ def multiplicative_order(n: Residue) -> int:
         raise NotAUnit(f"{n.value} is divisible by p = {n.mod.p}")
     p, k, m = n.mod.p, n.mod.k, n.mod.modulus
     return split_order(p, k, core_order(p, n.value), pow(n.value, p - 1, m))
-
-
-def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """(q, A_q): q = p^min(k, 2) and the p-th powers of units mod q, ascending.
-
-    F_k is exactly the set of residues mod p^k whose reduction mod q lies
-    in A_q. Proof: (a + bp)^p = a^p mod p^2, so F_k mod p^2 lies in the
-    core A_2, and F_k and the preimage of A_2 both have (p-1)*p^(k-2)
-    elements. At k = 1, n^p = n mod p makes every unit a p-th power.
-    A_q is the power table of n^p mod q, n = 1..p-1, distinct mod p.
-    """
-    q = p ** min(k, 2)
-    return q, tuple(sorted(power_table(p, q, p - 1)[1:]))
-
-
-def pth_power_members(mod: PrimePowerModulus) -> set[int]:
-    """F_k, the p-th powers of units. Equals X^(k-2) for k >= 2."""
-    mod.require_tables()
-    q, base = pth_power_base(mod.p, mod.k)
-    return {a + j for j in range(0, mod.modulus, q) for a in base}
 
 
 def is_core(mod: PrimePowerModulus, x: int) -> bool:

@@ -98,23 +98,22 @@ class FermatPairsumResult:
 def fermat_pairsum_count(mod: PrimePowerModulus) -> FermatPairsumResult:
     """Count the unit part of F+F and compare it to |F|*|D_j|, j = min(k, 2).
 
-    F is X^(k-2) for k >= 2 and every unit (X^(0)) at k = 1, so the unit
-    count is that of extension_pairsum_check at e = max(k-2, 0); the coset
-    generators are the increments at precision 2 for every k >= 2, and
-    D_1 = {1} at k = 1, where F+F covers all p-1 units. F is
-    the preimage of A_q, q = p^min(k, 2), and a sum of two of its elements
-    is 0 mod p only over A(n) + A(p-n) = 0 mod q, so the non-unit sums are
-    exactly the multiples of q (lift any x over A(n); the rest lies over
-    A(p-n)): p^k/q - 1 nonzero ones, tallied in nonunit_nonzero, outside
-    the identity.
+    F is X^(k-2) for k >= 2 and every unit (X^(0)) at k = 1, so both
+    counts are those of extension_pairsum_check at e = max(k-2, 0): the
+    cosets come from D_j (D_1 = {1}, and F+F covers all p-1 units at
+    k = 1), and its coset_union_count is |F|*|D_j| because x -> x^(p-1)
+    is injective on the 1-mod-p units B_j, of order p^(j-1) prime to
+    p-1, which hold D_j. F is the preimage of A_q, q = p^j, and a sum of
+    two of its elements is 0 mod p only over A(n) + A(p-n) = 0 mod q, so
+    the non-unit sums are exactly the multiples of q (lift any x over
+    A(n); the rest lies over A(p-n)): p^k/q - 1 nonzero ones, tallied in
+    nonunit_nonzero, outside the identity.
     """
-    p, k = mod.p, mod.k
-    units = extension_pairsum_check(mod, max(k - 2, 0)).unit_sum_count
-    d = len(build_core_table(make_modulus(p, min(k, 2), arithmetic_only=True)).distinct_increments)
+    verdict = extension_pairsum_check(mod, max(mod.k - 2, 0))
     return FermatPairsumResult(
-        observed=units,
-        predicted=mod.pth_power_order * d,
-        nonunit_nonzero=mod.modulus // p ** min(k, 2) - 1,
+        observed=verdict.unit_sum_count,
+        predicted=verdict.coset_union_count,
+        nonunit_nonzero=mod.modulus // mod.p ** min(mod.k, 2) - 1,
     )
 
 

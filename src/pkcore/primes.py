@@ -1,15 +1,17 @@
-"""Primality, sieves, and integer factorization.
+"""Primality, the prime sieve, and integer factorization.
 
 Deterministic Miller-Rabin below 2^64 (fixed witness set), Baillie-PSW
 above. Factorization is trial division to a bound, then Pollard rho with
 Brent's cycle detection; a cofactor left once trial division has passed
-its square root is prime and is not tested again. primes_in_range, the
-sieve under every scan block, flags only the odd numbers of its window
-(half the bytes and slice writes of a full segment) and adds 2 by hand,
-building its result in one list. factor_table gives a
-prime factor of every composite up to n, and power_table reads it: a
+its square root is prime and is not tested again. primes_in_range is
+the one sieve: it runs under every scan block, takes its base primes
+from itself, and serves factor_table. It flags only the odd numbers of
+its window (half the bytes and slice writes of a full segment) and adds
+2 by hand, building its result in one list. factor_table gives a prime
+factor of every composite up to n, and power_table reads it: a
 completely multiplicative map n -> n^e mod m needs a pow at primes only.
-Everything here is exact integer arithmetic.
+Divisors are enumerated where they are used, on the factored lattice in
+generators. Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -120,28 +122,17 @@ def is_prime(n: int) -> bool:
     return _lucas_strong_probable(n)
 
 
-def sieve(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return list(compress(range(limit + 1), flags))
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, by a segmented sieve over the odd
-    numbers of [lo, hi]; 2 is added by hand."""
+    numbers of [lo, hi]; 2 is added by hand. The odd base primes up to
+    sqrt(hi) come from the same function, about log log hi calls deep."""
     if hi < 2 or hi < lo:
         return []
     out = [2] if lo <= 2 else []
     first = max(lo, 3) | 1  # flag i stands for first + 2i
     n = (hi - first) // 2 + 1  # none when first > hi
     flags = bytearray([1]) * n
-    for p in sieve(math.isqrt(hi))[1:]:
+    for p in primes_in_range(3, math.isqrt(hi)):
         start = max(p * p, (first + p - 1) // p * p)
         if start % 2 == 0:  # the first odd multiple; odd multiples of p are 2p apart, p flags apart
             start += p
@@ -156,7 +147,7 @@ _factor_table = array("I")
 
 def _build_factor_table(size: int) -> array:
     table = array("I", [0]) * size
-    for q in reversed(sieve(math.isqrt(size - 1))):  # descending, so the smallest factor is written last
+    for q in reversed(primes_in_range(2, math.isqrt(size - 1))):  # descending, so the smallest factor is written last
         table[q * q :: q] = array("I", [q]) * len(range(q * q, size, q))
     return table
 
@@ -265,15 +256,3 @@ def factorize(n: int, max_rounds: int = 64, max_iters: int = RHO_MAX_ITERS) -> d
         stack.append(g)
         stack.append(m // g)
     return out
-
-
-def divisors_from_factorization(fac: dict[int, int]) -> list[int]:
-    ds = [1]
-    for q, e in fac.items():
-        ds = [d * q ** i for d in ds for i in range(e + 1)]
-    return sorted(ds)
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    return divisors_from_factorization(factorize(n))

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .corefst import build_core_table
+from .corefst import build_core_table, pth_power_base
 from .errors import CheckFailure, NoTripleFound, OutOfRange
-from .modring import PrimePowerModulus, make_modulus, pth_power_base
+from .modring import PrimePowerModulus, make_modulus
 
 __all__ = [
     "CoverageReport",
@@ -290,29 +290,25 @@ class TripleWitness:
 
 
 def h_triple_coresum(p: int) -> TripleWitness:
-    """Coresum witness from the halving triple (h, h, 1), h = (p-1)/2.
+    """Coresum witness (r, p-1-r, 1), tried at r = h = (p-1)/2 first.
 
-    2*A(h)+1 = 0 mod p always; it degenerates to 0 mod p^2 exactly when
-    2^p = 2 mod p^2 (base-2 carry vanishes), in which case the fallback
-    triple ((p-1)/3, 2(p-1)/3, 1) applies when 3 | p-1, then an exhaustive
-    (r, s, 1) search over the core table of p^2.
+    A(p-1-r) = -A(r+1), so the triple's core sum mod p^2 is c = 1 - d_2(r),
+    an increment of the core table of p^2, whose check gives d_2(r) = 1
+    mod p, so p | c. c = 0 at r = h exactly when 2^p = 2 mod p^2 (base-2
+    carry vanishes); then r = (p-1)/3 (when 3 | p-1) and r = 1..h follow,
+    and the first r with c != 0 is returned, degenerate_h set.
     """
     make_modulus(p, 1, arithmetic_only=True)  # validates p
     if p < 5:
         raise OutOfRange("needs p >= 5")
     pp = p * p
     h = (p - 1) // 2
-    c = (2 * pow(h, p, pp) + 1) % pp
-    if c % p != 0:  # pragma: no cover - contradicts exact cancellation
-        raise CheckFailure(f"(h,h,1) core sum not a multiple of p at p={p}")
-    if c != 0:
-        return TripleWitness(m=(c // p) % p, triple=(h, h, 1), coresum=c)
-    core = (0,) + build_core_table(make_modulus(p, 2, arithmetic_only=True)).core  # A_2(n) at n
-    thirds = [((p - 1) // 3, 2 * (p - 1) // 3)] if (p - 1) % 3 == 0 else []
-    for r, s in thirds + [(r, p - 1 - r) for r in range(1, h + 1)]:
-        c = (core[r] + core[s] + 1) % pp
-        if c % p == 0 and c != 0:
-            return TripleWitness(m=(c // p) % p, triple=(r, s, 1), coresum=c, degenerate_h=True)
+    increments = build_core_table(make_modulus(p, 2, arithmetic_only=True)).increments
+    thirds = ((p - 1) // 3,) if (p - 1) % 3 == 0 else ()
+    for r in (h, *thirds, *range(1, h + 1)):
+        c = (1 - increments[r]) % pp
+        if c:
+            return TripleWitness(m=c // p, triple=(r, p - 1 - r, 1), coresum=c, degenerate_h=r != h)
     raise NoTripleFound(f"no (r, s, 1) triple with nonzero coresum for p = {p}")
 
 

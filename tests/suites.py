@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 
+import oracles
 from pkcore import corefst
-from pkcore.corefst import core_members
+from pkcore.corefst import core_members, pth_power_members
 from pkcore.modring import (
     Residue,
     base_p_decode,
@@ -20,13 +21,12 @@ from pkcore.modring import (
     is_core,
     make_modulus,
     multiplicative_order,
-    pth_power_members,
 )
-from pkcore.primes import sieve
+from pkcore.primes import primes_in_range
 
 SEED = 0x5EED
-SMALL_PRIMES = [p for p in sieve(200) if p >= 3]
-TINY_PRIMES = [p for p in sieve(40) if p >= 3]
+SMALL_PRIMES = primes_in_range(3, 200)
+TINY_PRIMES = primes_in_range(3, 40)
 
 
 def suite_core_symmetries(cases: int = 600) -> tuple[int, int]:
@@ -127,8 +127,6 @@ def suite_inverse_pair_orders(cases: int = 500) -> tuple[int, int]:
     """For r and its cofactor s in p^2-1 (both > 1): -s is the inverse of r
     mod p^2 so their orders agree there, and both orders gain exactly a
     factor p when lifted to p^3."""
-    from pkcore.primes import divisors
-
     rng = random.Random(SEED + 5)
     failures = 0
     done = 0
@@ -137,7 +135,7 @@ def suite_inverse_pair_orders(cases: int = 500) -> tuple[int, int]:
         n = p * p - 1
         mod2 = make_modulus(p, 2, arithmetic_only=True)
         mod3 = make_modulus(p, 3, arithmetic_only=True)
-        for r in divisors(n):
+        for r in oracles.naive_divisors(n):
             s = n // r
             if r == 1 or s == 1:
                 continue

@@ -12,10 +12,12 @@ from pkcore.corefst import (
     equivalence_level_multiset,
     fst_carry,
     integer_increments,
+    pth_power_base,
+    pth_power_members,
     recurrence_step_identity,
 )
 from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange
-from pkcore.modring import Residue, base_p_encode, make_modulus, pth_power_base
+from pkcore.modring import Residue, base_p_encode, make_modulus
 from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
 
 
@@ -138,6 +140,14 @@ def test_core_table_check_catches_a_wrong_product(monkeypatch):
     for p, k in [(5, 2), (11, 3), (13, 1)]:
         with pytest.raises(CheckFailure):
             corefst._core_table.__wrapped__(make_modulus(p, k))
+    # F's base goes through the same check: no cached table may answer for it
+    corefst._core_table.cache_clear()
+    try:
+        for p, k in [(11, 3), (5, 2)]:
+            with pytest.raises(CheckFailure):
+                pth_power_base(p, k)
+    finally:
+        corefst._core_table.cache_clear()
 
 
 def test_core_table_increment_sum_closes():
@@ -189,8 +199,6 @@ def test_integer_increments_golden():
 
 def test_increment_ratio_is_pth_power():
     # e2(4)/e1(4) lands in the p-th power subgroup
-    from pkcore.modring import pth_power_members
-
     m = 11**3
     ratio = 793 * pow(67, -1, m) % m
     assert enc(ratio, 11, 3) == "601"

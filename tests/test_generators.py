@@ -198,7 +198,9 @@ def test_power_divisor_orders_match_sympy():
     # the partner rule sets the core order of every divisor above sqrt(p^(2m)-1)
     for p in (5, 7, 11, 13):
         for m in (1, 2, 3):
-            for a in audit_power_divisors(p, m, assert_non_core=False):
+            audits = audit_power_divisors(p, m, assert_non_core=False)
+            assert [a.r for a in audits] == oracles.naive_divisors(p ** (2 * m) - 1)[1:], (p, m)
+            for a in audits:
                 assert a.order_in_g3 == oracles.naive_order(a.r, p**3), (p, m, a.r)
 
 

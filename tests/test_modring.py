@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from pkcore.corefst import core_members
+from pkcore.corefst import core_members, pth_power_members
 from pkcore.errors import BadDigit, BadExponent, EvenPrime, NotPrime, Oversize, WrongLength
 from pkcore.modring import (
     Residue,
@@ -14,7 +14,6 @@ from pkcore.modring import (
     is_core,
     make_modulus,
     multiplicative_order,
-    pth_power_members,
 )
 from pkcore.primes import primes_in_range
 

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 import oracles
-from pkcore.corefst import build_core_table, core_members, critical_precision
+from pkcore.corefst import build_core_table, core_members, critical_precision, pth_power_members
 from pkcore.errors import BadExponent, Oversize
-from pkcore.modring import make_modulus, pth_power_members
+from pkcore.modring import make_modulus
 from pkcore.pairsums import (
     core_pairsum_count,
     extension_pairsum_check,

@@ -5,7 +5,7 @@ import pytest
 import oracles
 from pkcore.errors import FactorizationFailure
 from pkcore.generators import scan_primes
-from pkcore.primes import divisors, factor_table, factorize, is_prime, power_table, primes_in_range, sieve
+from pkcore.primes import factor_table, factorize, is_prime, power_table, primes_in_range
 
 
 def test_is_prime_small():
@@ -36,7 +36,7 @@ def test_is_prime_matches_sympy():
 
 
 def test_sieve_and_range():
-    assert sieve(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_in_range(0, 30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_in_range(90, 100) == [97]
     assert primes_in_range(2, 2) == [2]
     assert primes_in_range(14, 16) == []
@@ -148,8 +148,3 @@ def test_factorize_seeds_rho_only_when_needed(monkeypatch):
     assert factorize(semiprime) == factorize(semiprime) == {1000003: 1, 1000033: 1}
     assert seeds == [0xC0FFEE, 0xC0FFEE]
 
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(120) == oracles.naive_divisors(120)
-    assert divisors(11**2 - 1) == oracles.naive_divisors(120)

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 import oracles
 from pkcore import waring
+from pkcore.corefst import pth_power_members
 from pkcore.errors import CheckFailure, EvenPrime, NoTripleFound, NotPrime, OutOfRange
-from pkcore.modring import make_modulus, pth_power_members
+from pkcore.modring import make_modulus
 from pkcore.pairsums import fermat_pairsum_count
 from pkcore.waring import (
     class_of,
@@ -134,6 +136,28 @@ def test_h_triple_wieferich_fallback():
         assert w.degenerate_h
         assert (w.triple, w.coresum) == (triple, coresum), p
         assert w.coresum % p == 0 and w.coresum > 0
+
+
+def test_h_triple_candidate_order(monkeypatch):
+    # d_2(r) = 1 makes the triple (r, p-1-r, 1) degenerate; the next
+    # candidate is (p-1)/3 when 3 | p-1, then r = 1, 2, ...
+    real = waring.build_core_table
+
+    def unit_increments_at(ones):
+        def table(mod):
+            t = real(mod)
+            return dataclasses.replace(t, increments=tuple(1 if n in ones else d for n, d in enumerate(t.increments)))
+        return table
+
+    for p, ones, r in [(13, {6}, 4), (11, {5}, 1)]:
+        core = (0,) + real(make_modulus(p, 2)).core  # A_2(n) at n
+        coresum = (core[r] + core[p - 1 - r] + 1) % p**2
+        monkeypatch.setattr(waring, "build_core_table", unit_increments_at(ones))
+        w = h_triple_coresum(p)
+        assert (w.triple, w.coresum, w.m, w.degenerate_h) == ((r, p - 1 - r, 1), coresum, coresum // p, True), p
+    monkeypatch.setattr(waring, "build_core_table", unit_increments_at(range(13)))
+    with pytest.raises(NoTripleFound):
+        h_triple_coresum(13)
 
 
 def test_h_triple_rejects_composites():
