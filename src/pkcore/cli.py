@@ -2,9 +2,9 @@
 
 Subcommands: core, increments, kp, pairsums, waring, divisors,
 scan {wieferich|exceptions|note4}, decompose. Every command builds a
-Report (schema_version, command, p, k, rows) and renders it as human
-text (residues in base-p), jsonl (one self-describing record per row),
-or csv. Timing goes to stderr so stdout stays stable.
+Report (command, p, k, rows) and renders it as human text (residues in
+base-p), jsonl (one self-describing record per row), or csv. Timing
+goes to stderr so stdout stays stable.
 
 kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
 --checkpoint for scans): the Wieferich scan through its batched block
@@ -68,8 +68,6 @@ class Report:
     rows: list[dict]
     p: int | None = None
     k: int | None = None
-    schema_version: int = SCHEMA_VERSION
-    elapsed_s: float = 0.0
     check_failed: bool = False
 
 
@@ -117,19 +115,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 # --- rendering ----------------------------------------------------------
 
-# per command: row fields holding residues (rendered base-p in human output)
+# per command: row fields holding a residue or a list of them (base-p in human output)
 RESIDUE_FIELDS = {
     "core": ("core", "increment"),
     "increments": ("value",),
-    "decompose": ("residue",),
-    "waring": ("residue",),
-    "pairsums": (),
-    "divisors": (),
-    "kp": (),
-    "scan": (),
+    "decompose": ("residue", "summands"),
+    "waring": ("residue", "summands"),
 }
-# fields holding lists of residues
-RESIDUE_LIST_FIELDS = {"decompose": ("summands",), "waring": ("summands",)}
 
 
 def _columns(rows: list[dict]) -> list[str]:
@@ -138,10 +130,11 @@ def _columns(rows: list[dict]) -> list[str]:
 
 
 def _fmt_value(command: str, key: str, value, mod) -> str:
-    if mod is not None and key in RESIDUE_FIELDS.get(command, ()) and isinstance(value, int):
-        return base_p_encode(Residue(value, mod))
-    if mod is not None and key in RESIDUE_LIST_FIELDS.get(command, ()) and isinstance(value, (list, tuple)):
-        return "+".join(base_p_encode(Residue(v, mod)) for v in value)
+    if mod is not None and key in RESIDUE_FIELDS.get(command, ()):
+        if isinstance(value, int):
+            return base_p_encode(Residue(value, mod))
+        if isinstance(value, (list, tuple)):
+            return "+".join(base_p_encode(Residue(v, mod)) for v in value)
     if key == "carry" and mod is not None and mod.p <= 36:
         return DIGIT_CHARS[value]
     if isinstance(value, bool):
@@ -172,7 +165,7 @@ def render_human(report: Report) -> str:
 
 def render_jsonl(report: Report) -> str:
     meta = {
-        "schema_version": report.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "command": report.command,
         "p": report.p,
         "k": report.k,
@@ -213,14 +206,13 @@ def render_csv(report: Report) -> str:
     return buf.getvalue()
 
 
-def emit(report: Report, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def emit(report: Report, fmt: str) -> None:
     if fmt == "jsonl":
-        out.write(render_jsonl(report))
+        sys.stdout.write(render_jsonl(report))
     elif fmt == "csv":
-        out.write(render_csv(report))
+        sys.stdout.write(render_csv(report))
     else:
-        out.write(render_human(report))
+        sys.stdout.write(render_human(report))
 
 
 # --- commands -----------------------------------------------------------
@@ -496,9 +488,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         t0 = time.perf_counter()
         report: Report = args.func(args, cfg)
-        report.elapsed_s = time.perf_counter() - t0
+        elapsed_s = time.perf_counter() - t0
         emit(report, cfg["format"])
-        print(f"elapsed: {report.elapsed_s:.3f}s", file=sys.stderr)
+        print(f"elapsed: {elapsed_s:.3f}s", file=sys.stderr)
         return EXIT_CHECK_FAILED if report.check_failed else EXIT_OK
     except PkcoreError as exc:
         print(f"error: {exc}", file=sys.stderr)

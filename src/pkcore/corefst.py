@@ -16,14 +16,15 @@ differences e_1(n) = (n+1)^p - n^p: distinctness levels of the e_i are
 preserved from each i to the next, so the module computes K_p from e_1
 alone and the tests verify the preservation claim numerically. Only e_1
 mod p^K is needed, for a K at or above K_p, with K doubling from 4 until
-the h values separate, so there is no size limit on p. The powers n^p
-mod p^K, n <= h+1, are a power table. Each level k counts its distinct
-residues as the size of the set {e_1(n) mod p^k}; only the levels below
-K_p look for a witness, scanning n = 1..h ascending and stopping at the
-first repeated residue. That is the pair an exhaustive scan keeping the
-latest n per residue records, since at the first repeat the residue has
-exactly one earlier n. The exact integers (about p*log10(p) digits
-each) and the exhaustive scan survive only as a test oracle.
+the h values separate, so there is no size limit on p. Every e_i table,
+here and in waring.h_triple_coresum, is one power_differences call.
+Each level k counts its distinct residues as the size of the set
+{e_1(n) mod p^k}; only the levels below K_p look for a witness,
+scanning n = 1..h ascending and stopping at the first repeated residue.
+That is the pair an exhaustive scan keeping the latest n per residue
+records, since at the first repeat the residue has exactly one earlier
+n. The exact integers (about p*log10(p) digits each) and the exhaustive
+scan survive only as a test oracle.
 build_core_table, memoised per modulus, is the one builder of A_k, its
 carries, its increments and D_k. F_k is the preimage of the core A_2,
 so its base A_q, q = p^min(k, 2) (pth_power_base), is read off the
@@ -110,10 +111,9 @@ def build_core_table(mod: PrimePowerModulus) -> CoreTable:
 
     The only place the core is computed, as the power tables of
     n^(p^(k-1)) mod p^k and n^(p-1) mod p^2 (the carries); core_members,
-    F's base, the h-triple witness, the pairsum counts and the corollary
-    check all read it. No extension X^(e) is built as a set: it is the
-    preimage of the core of p^(k-e), so the pairsum counts read that
-    table instead.
+    F's base, the pairsum counts and the corollary check all read it. No
+    extension X^(e) is built as a set: it is the preimage of the core of
+    p^(k-e), so the pairsum counts read that table instead.
     """
     return _core_table(mod)
 
@@ -163,6 +163,12 @@ def pth_power_members(mod: PrimePowerModulus) -> set[int]:
     return {a + j for j in range(0, mod.modulus, q) for a in base}
 
 
+def power_differences(e: int, m: int, top: int) -> list[int]:
+    """(n+1)^e - n^e mod m for n = 1..top: the one source of every e_i table."""
+    powers = power_table(e, m, top + 1)
+    return [(b - a) % m for a, b in zip(powers[1:], powers[2:])]
+
+
 @dataclass(frozen=True)
 class CriticalPrecisionResult:
     p: int
@@ -184,9 +190,7 @@ def critical_precision(p: int) -> CriticalPrecisionResult:
     h = (p - 1) // 2
     top = min(4, p)
     while True:
-        m = p ** top
-        powers = power_table(p, m, h + 1)
-        e1 = [(b - a) % m for a, b in zip(powers[1:], powers[2:])]  # e_1(1..h) mod p^top
+        e1 = power_differences(p, p ** top, h)
         if len(set(e1)) == h or top == p:
             break
         top = min(2 * top, p)
@@ -217,18 +221,14 @@ def integer_increments(p: int, i: int, k: int) -> list[int]:
     and the core is fixed by the p-th power, so n^(p^i) = A_k(n) for
     every i >= k-1. For n = p, p^(p^i) = 0 mod p^k as soon as p^i >= k,
     and p^(k-1) >= k for p >= 3. Both hold at i' (at k = 1 every i >= 1
-    gives n and 0), so any i costs what i' does; the powers are a power
-    table.
+    gives n and 0), so any i costs what i' does.
     """
     make_modulus(p, 1, arithmetic_only=True)  # validates p
     if i < 1:
         raise OutOfRange(f"need i >= 1, got {i}")
     if k < 1:
         raise OutOfRange(f"need k >= 1, got {k}")
-    m = p ** k
-    q = p ** min(i, max(k - 1, 1))
-    powers = power_table(q, m, p)
-    return [(b - a) % m for a, b in zip(powers[1:p], powers[2:])]
+    return power_differences(p ** min(i, max(k - 1, 1)), p ** k, p - 1)
 
 
 def equivalence_level_multiset(p: int, i: int, k_cap: int) -> list[int]:

@@ -258,13 +258,9 @@ def wieferich_test(base: int) -> Callable[[list[int]], list[int]]:
     return partial(_wieferich_hits, base)
 
 
-def wieferich_scan(
-    p_max: int, base: int = 2, checkpoint: str | None = None, jobs: int = 1, block: int = SCAN_BLOCK
-) -> list[int]:
-    """Primes 2 <= p <= p_max with base^p = base mod p^2; checkpoint line {"version": 1, "base": B, "next": N}."""
-    return scan_primes(
-        wieferich_test(base), 2, p_max, jobs=jobs, checkpoint=checkpoint, ident={"base": base}, block=block
-    )
+def wieferich_scan(p_max: int, base: int = 2, jobs: int = 1, block: int = SCAN_BLOCK) -> list[int]:
+    """Primes 2 <= p <= p_max with base^p = base mod p^2."""
+    return scan_primes(wieferich_test(base), 2, p_max, jobs=jobs, block=block)
 
 
 def _each_prime(row: Callable[[int], object], primes: list[int]) -> list:
@@ -344,15 +340,15 @@ def scan_primes(
     return out
 
 
-def corollary_check(p: int, k_max: int = 4, samples: int = 8) -> bool:
+def corollary_check(p: int) -> bool:
     """For n in {2, 3}: the quadruple {n, -n, 1/n, -1/n} mod p^k stays
-    outside the core for 3 <= k <= k_max, and multiplying the quadruple
-    into the core never lands back in the core (spot-checked)."""
+    outside the core for k in {3, 4}, and multiplying the quadruple into
+    the core never lands back in the core (spot-checked on 8 cores)."""
     if p in (2, 3):
         raise OutOfRange("needs p >= 5 so that 2 and 3 are units")
-    for k in range(3, k_max + 1):
+    for k in (3, 4):
         m = p ** k
-        cores = build_core_table(make_modulus(p, k, arithmetic_only=True)).core[:samples]
+        cores = build_core_table(make_modulus(p, k, arithmetic_only=True)).core[:8]
         for n in (2, 3):
             inv = pow(n, -1, m)
             quad = (n % m, -n % m, inv, -inv % m)
@@ -418,17 +414,17 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
     return GeneratorSurvey(p=p, k=k, verdicts=tuple(verdicts), satisfied=satisfied)
 
 
-def generator_lift(p: int, g: int, k_max: int = 4) -> dict[int, bool]:
+def generator_lift(p: int, g: int) -> dict[int, bool]:
     """If g generates the units mod p^2, check it keeps generating at
-    every precision up to k_max. Returns {k: is_generator}; an empty
-    dict means g was not a generator mod p^2 (not applicable)."""
+    every precision up to 4. Returns {k: is_generator}; an empty dict
+    means g was not a generator mod p^2 (not applicable)."""
     if g >= p or g % p == 0:
         raise OutOfRange("need g < p coprime to p")
     mod2 = make_modulus(p, 2, arithmetic_only=True)
     if multiplicative_order(Residue(g, mod2)) != mod2.units_order:
         return {}
     out = {2: True}
-    for k in range(3, k_max + 1):
+    for k in (3, 4):
         mod = make_modulus(p, k, arithmetic_only=True)
         out[k] = multiplicative_order(Residue(g, mod)) == mod.units_order
     return out

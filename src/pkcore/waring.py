@@ -35,11 +35,11 @@ honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .corefst import build_core_table, pth_power_base
+from .corefst import power_differences, pth_power_base
 from .errors import CheckFailure, NoTripleFound, OutOfRange
 from .modring import PrimePowerModulus, make_modulus
 
@@ -133,7 +133,7 @@ class CoverageReport:
     n0_covered_by3: bool  # all nonzero multiples of p in F+3
     conjecture_f3_in_f4: bool
     disjoint_f3_f4: bool
-    witness_decompositions: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    witness_decompositions: dict[int, tuple[int, ...]]
 
     def members(self, t: int) -> set[int]:
         bits = bin(self.masks[t])[:1:-1]  # least significant bit first
@@ -157,7 +157,13 @@ def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
     full = (1 << m) - 1
     union34 = masks[3] | masks[4]
     n0_mask = _tile(1, mod.p, m) ^ 1  # the nonzero multiples of p
-    report = CoverageReport(
+    witnesses: dict[int, tuple[int, ...]] = {}  # spot checks: each level's smallest member
+    for t in range(2, max_t + 1):
+        level = small.levels[t - 1]
+        if level:
+            probe = (level & -level).bit_length() - 1
+            witnesses[probe] = decompose_residue(mod, probe, t)
+    return CoverageReport(
         mod=mod,
         masks=masks,
         counts={t: mask.bit_count() for t, mask in masks.items()},
@@ -165,14 +171,8 @@ def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
         n0_covered_by3=masks[3] & n0_mask == n0_mask,
         conjecture_f3_in_f4=masks[3] & ~masks[4] == 0,
         disjoint_f3_f4=masks[3] & masks[4] == 0,
+        witness_decompositions=witnesses,
     )
-    # spot-check witnesses: smallest member of each level above 1
-    for t in range(2, max_t + 1):
-        level = small.levels[t - 1]
-        if level:
-            probe = (level & -level).bit_length() - 1
-            report.witness_decompositions[probe] = decompose_residue(mod, probe, t)
-    return report
 
 
 def _witness_prefix(mod: PrimePowerModulus, small: ReducedSumsets, r: int) -> tuple[int, ...]:
@@ -219,7 +219,7 @@ def decompose_residue(mod: PrimePowerModulus, x: int, t: int) -> tuple[int, ...]
         raise NoTripleFound(f"{x} is not a sum of {t} p-th power residues mod {m}")
     prefix = _witness_prefix(mod, small, x % q)
     last = (x - sum(prefix)) % m
-    if (sum(prefix) + last) % m != x or pow(last, mod.pth_power_order, m) != 1:
+    if pow(last, mod.pth_power_order, m) != 1:
         raise CheckFailure("invalid witness produced")  # pragma: no cover
     return prefix + (last,)
 
@@ -261,7 +261,7 @@ def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
                 prefix = prefixes[r] = _witness_prefix(mod, small, r)
             v1, v2 = prefix
             last = (x - v1 - v2) % m
-            if (v1 + v2 + last) % m != x or pow(last, f_order, m) != 1:
+            if pow(last, f_order, m) != 1:
                 raise CheckFailure("invalid witness produced")  # pragma: no cover
             witnesses[x] = (v1, v2, last)
         else:
@@ -292,21 +292,24 @@ class TripleWitness:
 def h_triple_coresum(p: int) -> TripleWitness:
     """Coresum witness (r, p-1-r, 1), tried at r = h = (p-1)/2 first.
 
-    A(p-1-r) = -A(r+1), so the triple's core sum mod p^2 is c = 1 - d_2(r),
-    an increment of the core table of p^2, whose check gives d_2(r) = 1
-    mod p, so p | c. c = 0 at r = h exactly when 2^p = 2 mod p^2 (base-2
-    carry vanishes); then r = (p-1)/3 (when 3 | p-1) and r = 1..h follow,
-    and the first r with c != 0 is returned, degenerate_h set.
+    A(p-1-r) = -A(r+1), so the triple's core sum mod p^2 is c = 1 - e_1(r),
+    e_1(r) = (r+1)^p - r^p mod p^2 read off power_differences; no core
+    table is built. By Fermat e_1(r) = 1 mod p, so p | c (checked). c = 0
+    at r = h exactly when 2^p = 2 mod p^2 (base-2 carry vanishes); then
+    r = (p-1)/3 (when 3 | p-1) and r = 1..h follow, and the first r with
+    c != 0 is returned, degenerate_h set.
     """
     make_modulus(p, 1, arithmetic_only=True)  # validates p
     if p < 5:
         raise OutOfRange("needs p >= 5")
     pp = p * p
     h = (p - 1) // 2
-    increments = build_core_table(make_modulus(p, 2, arithmetic_only=True)).increments
+    e1 = power_differences(p, pp, h)  # e_1(1..h) mod p^2
     thirds = ((p - 1) // 3,) if (p - 1) % 3 == 0 else ()
     for r in (h, *thirds, *range(1, h + 1)):
-        c = (1 - increments[r]) % pp
+        c = (1 - e1[r - 1]) % pp
+        if c % p:
+            raise CheckFailure(f"e_1({r}) != 1 mod p for p = {p}")
         if c:
             return TripleWitness(m=c // p, triple=(r, p - 1 - r, 1), coresum=c, degenerate_h=r != h)
     raise NoTripleFound(f"no (r, s, 1) triple with nonzero coresum for p = {p}")

@@ -1,4 +1,3 @@
-import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -6,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pkcore import waring
-from pkcore.corefst import pth_power_members
+from pkcore import corefst, waring
+from pkcore.corefst import build_core_table, pth_power_members
 from pkcore.errors import CheckFailure, EvenPrime, NoTripleFound, NotPrime, OutOfRange
 from pkcore.modring import make_modulus
 from pkcore.pairsums import fermat_pairsum_count
@@ -139,25 +138,41 @@ def test_h_triple_wieferich_fallback():
 
 
 def test_h_triple_candidate_order(monkeypatch):
-    # d_2(r) = 1 makes the triple (r, p-1-r, 1) degenerate; the next
+    # e_1(r) = 1 makes the triple (r, p-1-r, 1) degenerate; the next
     # candidate is (p-1)/3 when 3 | p-1, then r = 1, 2, ...
-    real = waring.build_core_table
+    real = waring.power_differences
 
-    def unit_increments_at(ones):
-        def table(mod):
-            t = real(mod)
-            return dataclasses.replace(t, increments=tuple(1 if n in ones else d for n, d in enumerate(t.increments)))
-        return table
+    def e1_at(values):  # e_1(r) replaced by values[r] where given
+        def differences(e, m, top):
+            return [values.get(r, d) for r, d in enumerate(real(e, m, top), start=1)]
+        return differences
 
     for p, ones, r in [(13, {6}, 4), (11, {5}, 1)]:
-        core = (0,) + real(make_modulus(p, 2)).core  # A_2(n) at n
+        core = (0,) + build_core_table(make_modulus(p, 2)).core  # A_2(n) at n
         coresum = (core[r] + core[p - 1 - r] + 1) % p**2
-        monkeypatch.setattr(waring, "build_core_table", unit_increments_at(ones))
+        monkeypatch.setattr(waring, "power_differences", e1_at(dict.fromkeys(ones, 1)))
         w = h_triple_coresum(p)
         assert (w.triple, w.coresum, w.m, w.degenerate_h) == ((r, p - 1 - r, 1), coresum, coresum // p, True), p
-    monkeypatch.setattr(waring, "build_core_table", unit_increments_at(range(13)))
+    monkeypatch.setattr(waring, "power_differences", e1_at(dict.fromkeys(range(13), 1)))
     with pytest.raises(NoTripleFound):
         h_triple_coresum(13)
+    monkeypatch.setattr(waring, "power_differences", e1_at({6: 2}))  # e_1(h) = 2 mod 13: not a p-th power difference
+    with pytest.raises(CheckFailure):
+        h_triple_coresum(13)
+
+
+def test_h_triple_builds_no_core_table():
+    corefst._core_table.cache_clear()
+    for p, triple, coresum in [
+        (5, (2, 2, 1), 15),
+        (13, (6, 6, 1), 39),
+        (1093, (364, 728, 1), 341016),
+        (3511, (1170, 2340, 1), 24577),
+        (8191, (4095, 4095, 1), 5160330),
+    ]:
+        w = h_triple_coresum(p)
+        assert (w.triple, w.coresum) == (triple, coresum), p
+    assert corefst._core_table.cache_info().currsize == 0
 
 
 def test_h_triple_rejects_composites():
