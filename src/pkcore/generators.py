@@ -63,7 +63,7 @@ from functools import partial
 
 from .corefst import build_core_table
 from .errors import BadCheckpoint, BadConfig, CheckFailure, OutOfRange
-from .modring import Residue, core_order, make_modulus, multiplicative_order, split_order
+from .modring import core_order, make_modulus, split_order
 from .primes import factorize, primes_in_range
 
 __all__ = [
@@ -258,9 +258,9 @@ def wieferich_test(base: int) -> Callable[[list[int]], list[int]]:
     return partial(_wieferich_hits, base)
 
 
-def wieferich_scan(p_max: int, base: int = 2, jobs: int = 1, block: int = SCAN_BLOCK) -> list[int]:
+def wieferich_scan(p_max: int, base: int = 2, jobs: int = 1) -> list[int]:
     """Primes 2 <= p <= p_max with base^p = base mod p^2."""
-    return scan_primes(wieferich_test(base), 2, p_max, jobs=jobs, block=block)
+    return scan_primes(wieferich_test(base), 2, p_max, jobs=jobs)
 
 
 def _each_prime(row: Callable[[int], object], primes: list[int]) -> list:
@@ -303,19 +303,20 @@ def _read_checkpoint(path: str, ident: dict) -> int:
 
 def scan_primes(
     rows: Callable[[list[int]], list], lo: int, hi: int, *,
-    jobs: int = 1, checkpoint: str | None = None, ident: dict | None = None, block: int = SCAN_BLOCK,
+    jobs: int = 1, checkpoint: str | None = None, ident: dict | None = None,
 ) -> list:
     """rows(primes of the block) for every block of [lo, hi], concatenated in order.
 
     rows is a block kernel (per_prime makes one from a row function).
-    Blocks hold ceil(n/parts) numbers, at most block, with parts = 1 at
-    jobs = 1 and 4*jobs otherwise: the cost of a prime grows with p, so
-    several blocks per worker let pool.map hand the heavy top-of-range
-    blocks to whichever worker is free. Under jobs > 1 they run on a pool
-    of min(jobs, blocks) processes (rows must then pickle). A checkpoint
-    is resumed from and rewritten after each block as one line
-    {"version": 1, **ident, "next": N}, ident naming the scan's kind and
-    parameters; one of another scan or format raises BadCheckpoint.
+    Blocks hold ceil(n/parts) numbers, at most SCAN_BLOCK (read at call
+    time), with parts = 1 at jobs = 1 and 4*jobs otherwise: the cost of a
+    prime grows with p, so several blocks per worker let pool.map hand
+    the heavy top-of-range blocks to whichever worker is free. Under
+    jobs > 1 they run on a pool of min(jobs, blocks) processes (rows
+    must then pickle). A checkpoint is resumed from and rewritten after
+    each block as one line {"version": 1, **ident, "next": N}, ident
+    naming the scan's kind and parameters; one of another scan or format
+    raises BadCheckpoint.
     """
     if jobs < 1:
         raise BadConfig(f"jobs = {jobs} must be at least 1")
@@ -323,7 +324,7 @@ def scan_primes(
     if checkpoint and os.path.exists(checkpoint):
         lo = max(lo, _read_checkpoint(checkpoint, ident))
     parts = 1 if jobs == 1 else 4 * jobs
-    size = min(block, max(1, -(-(hi - lo + 1) // parts)))
+    size = min(SCAN_BLOCK, max(1, -(-(hi - lo + 1) // parts)))
     spans = [(rows, a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
     workers = min(jobs, len(spans))
     out: list = []
@@ -417,14 +418,12 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
 def generator_lift(p: int, g: int) -> dict[int, bool]:
     """If g generates the units mod p^2, check it keeps generating at
     every precision up to 4. Returns {k: is_generator}; an empty dict
-    means g was not a generator mod p^2 (not applicable)."""
+    means g was not a generator mod p^2 (not applicable). One peel gives
+    d = ord(g mod p) and one pow w = g^(p-1) mod p^4; each order mod p^k
+    is split_order's d * ord(w mod p^k)."""
     if g >= p or g % p == 0:
         raise OutOfRange("need g < p coprime to p")
-    mod2 = make_modulus(p, 2, arithmetic_only=True)
-    if multiplicative_order(Residue(g, mod2)) != mod2.units_order:
-        return {}
-    out = {2: True}
-    for k in (3, 4):
-        mod = make_modulus(p, k, arithmetic_only=True)
-        out[k] = multiplicative_order(Residue(g, mod)) == mod.units_order
-    return out
+    make_modulus(p, 1, arithmetic_only=True)  # validates p
+    d, w = core_order(p, g), pow(g, p - 1, p ** 4)
+    out = {k: split_order(p, k, d, w % p ** k) == (p - 1) * p ** (k - 1) for k in (2, 3, 4)}
+    return out if out[2] else {}

@@ -59,7 +59,6 @@ class PrimePowerModulus:
     k: int
     modulus: int
     units_order: int
-    ext_order: int
     tables_enabled: bool = True
 
     @property
@@ -109,7 +108,6 @@ def make_modulus(
         k=k,
         modulus=p ** k,
         units_order=(p - 1) * p ** (k - 1),
-        ext_order=p ** (k - 1),
         tables_enabled=tables,
     )
 

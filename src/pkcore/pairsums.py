@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corefst import CoreTable, build_core_table, critical_precision
+from .corefst import build_core_table, critical_precision
 from .errors import BadExponent
 from .modring import PrimePowerModulus, make_modulus
 
@@ -55,33 +55,23 @@ __all__ = [
 ]
 
 
-def _sum_labels(table: CoreTable) -> set[int]:
-    """Coset labels (1+a)^(p-1) of the unit sums 1+a, a in the core of
-    the table: the cosets whose union is the unit part of A+A."""
-    p, m = table.mod.p, table.mod.modulus
-    return {pow(1 + a, p - 1, m) for a in table.core if (1 + a) % p}
-
-
 def core_pairsum_count(mod: PrimePowerModulus, *, kp: int | None = None) -> tuple[int, int]:
     """(observed, predicted) distinct nonzero sums of two core elements.
 
-    Predicted is (p-1)^2/2 at or above critical precision, |A| * |D_k|
-    below it. Observed is |A| times the number of coset labels of A+A
-    (the e = 0 case of extension_pairsum_check); every nonzero core sum
-    is a unit, so there is nothing else to count. kp, if given, is the
-    critical precision K_p, which is otherwise computed here.
+    Both come from extension_pairsum_check(mod, 0); every nonzero core
+    sum is a unit, so there is nothing else to count. Observed is its
+    unit_sum_count. Predicted is (p-1)^2/2 at or above critical
+    precision, and below it the check's coset_union_count, which is
+    |A| * |D_k| because x -> x^(p-1) is injective on B_k, which holds
+    D_k and has order prime to p-1. kp, if given, is the critical
+    precision K_p, which is otherwise computed here.
     """
-    mod.require_tables()
-    p = mod.p
-    table = build_core_table(mod)
-    observed = (p - 1) * len(_sum_labels(table))
+    verdict = extension_pairsum_check(mod, 0)
     if kp is None:
-        kp = critical_precision(p).kp
+        kp = critical_precision(mod.p).kp
     if mod.k >= kp:
-        predicted = (p - 1) ** 2 // 2
-    else:
-        predicted = (p - 1) * len(table.distinct_increments)
-    return observed, predicted
+        return verdict.unit_sum_count, (mod.p - 1) ** 2 // 2
+    return verdict.unit_sum_count, verdict.coset_union_count
 
 
 @dataclass(frozen=True)
@@ -142,8 +132,9 @@ def extension_pairsum_check(mod: PrimePowerModulus, e: int) -> ExtensionPairsumV
         raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
     p = mod.p
     table = build_core_table(make_modulus(p, mod.k - e, arithmetic_only=True))
-    labels = _sum_labels(table)
-    gens = {pow(d, p - 1, table.mod.modulus) for d in table.distinct_increments}
+    m = table.mod.modulus
+    labels = {pow(1 + a, p - 1, m) for a in table.core if (1 + a) % p}
+    gens = {pow(d, p - 1, m) for d in table.distinct_increments}
     size = (p - 1) * p ** e
     return ExtensionPairsumVerdict(
         mod=mod,

@@ -11,9 +11,11 @@ k = 1). (a + bp)^p = a^p mod p^2, so F mod p^2 lies in A_2; F and the
 preimage of A_2 in Z/p^k both have (p-1)*p^(k-2) elements, so F is
 exactly that preimage. Each summand therefore ranges over whole classes
 a + qZ, and F+t is the preimage of S_t, the t-fold sumset of A_q in
-Z/q. The levels S_t are computed and cached as bitsets over [0, q)
-and tiled out to p^k; F ∩ [1, q) = A_q, so scanning A_q ascending finds
-the same witness as scanning F ascending. That scan reads only x mod q,
+Z/q. The levels S_t are computed and cached as bitsets over [0, q).
+sumset_levels reads its counts (|S_t| * p^k/q) and verdicts off them at
+q; a level is tiled out to a p^k-bit mask only when CoverageReport.masks
+is first read. F ∩ [1, q) = A_q, so scanning A_q ascending finds the
+same witness as scanning F ascending. That scan reads only x mod q,
 so a witness's first t-1 summands depend only on the class of x mod q
 (the shared prefix) and only the last one, x minus their sum mod p^k,
 depends on x itself: verify_multiples_of_p searches once per class
@@ -36,7 +38,7 @@ honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .corefst import power_differences, pth_power_base
@@ -53,7 +55,6 @@ __all__ = [
     "verify_multiples_of_p",
     "h_triple_coresum",
     "translation_class",
-    "class_of",
     "decompose_residue",
 ]
 
@@ -61,7 +62,7 @@ __all__ = [
 class ReducedSumsets(NamedTuple):
     q: int  # p^min(k, 2)
     base: tuple[int, ...]  # A_q ascending, which is F ∩ [1, q)
-    levels: tuple[int, ...]  # levels[t-1] = S_t as a bitset over [0, q)
+    levels: tuple[int, ...] | list[int]  # levels[t-1] = S_t as a bitset over [0, q); a list in the cache
 
 
 def _bitset(values, q: int) -> int:
@@ -72,47 +73,32 @@ def _bitset(values, q: int) -> int:
     return int(digits, 2)  # base 2 parses in linear time
 
 
-class _LevelCache:
-    """S_1, S_2, ... on Z/q for one (p, q), extended on demand.
-
-    S_2 comes from the |A|^2/2 pairs of A_q, O(p^2) steps where |A|
-    shifts of a q-bit int would cost O(p^3/64) word operations; deeper
-    levels are S_t + A_q by shift-or.
-    """
-
-    def __init__(self, p: int, e: int) -> None:
-        self.q, self.base = pth_power_base(p, e)
-        self.levels = (_bitset(self.base, self.q),)
-
-    def upto(self, max_t: int) -> tuple[int, ...]:
-        # extend a local copy and publish it whole, so a level is never
-        # stored twice or out of place
-        q, base, levels = self.q, self.base, self.levels
-        if len(levels) == 1 < max_t:
-            pairs = ((a + b) % q for i, a in enumerate(base) for b in base[i:])
-            levels += (_bitset(pairs, q),)
-        full = (1 << q) - 1
-        while len(levels) < max_t:
-            level, shifted = levels[-1], 0
-            for a in base:
-                shifted |= (level << a) | (level >> (q - a))
-            levels += (shifted & full,)
-        self.levels = levels
-        return levels[:max_t]
-
-
 @lru_cache(maxsize=4)  # an entry holds a few bitsets of q <= p^2 bits
-def _level_cache(p: int, e: int) -> _LevelCache:
-    return _LevelCache(p, e)
+def _level_cache(p: int, e: int) -> ReducedSumsets:
+    """S_1 on Z/q, q = p^e, in a level list that reduced_sumsets extends in place."""
+    q, base = pth_power_base(p, e)
+    return ReducedSumsets(q, base, [_bitset(base, q)])
 
 
 def reduced_sumsets(mod: PrimePowerModulus, max_t: int) -> ReducedSumsets:
     """S_1..S_max_t on Z/q, cached per (p, q): F+t is the preimage of S_t.
 
     Every depth shares one cache entry, so no level is computed twice.
+    S_2 comes from the |A|^2/2 pairs of A_q, O(p^2) steps where |A|
+    shifts of a q-bit int would cost O(p^3/64) word operations; deeper
+    levels are S_t + A_q by shift-or.
     """
-    cache = _level_cache(mod.p, min(mod.k, 2))
-    return ReducedSumsets(cache.q, cache.base, cache.upto(max_t))
+    q, base, levels = _level_cache(mod.p, min(mod.k, 2))
+    if len(levels) == 1 < max_t:
+        pairs = ((a + b) % q for i, a in enumerate(base) for b in base[i:])
+        levels.append(_bitset(pairs, q))
+    full = (1 << q) - 1
+    while len(levels) < max_t:
+        level, shifted = levels[-1], 0
+        for a in base:
+            shifted |= (level << a) | (level >> (q - a))
+        levels.append(shifted & full)
+    return ReducedSumsets(q, base, tuple(levels[:max_t]))
 
 
 def _tile(pattern: int, period: int, m: int) -> int:
@@ -127,13 +113,19 @@ def _tile(pattern: int, period: int, m: int) -> int:
 @dataclass(frozen=True)
 class CoverageReport:
     mod: PrimePowerModulus
-    masks: dict[int, int]  # level t -> bitset over [0, p^k)
+    sums: ReducedSumsets  # S_1..S_max_t on Z/q, which every field below is read off
     counts: dict[int, int]
     theorem_holds: bool  # F+3 union F+4 covers everything
     n0_covered_by3: bool  # all nonzero multiples of p in F+3
     conjecture_f3_in_f4: bool
     disjoint_f3_f4: bool
     witness_decompositions: dict[int, tuple[int, ...]]
+
+    @cached_property
+    def masks(self) -> dict[int, int]:
+        """Level t -> bitset over [0, p^k) of F+t: S_t tiled out, on first read."""
+        q, m = self.sums.q, self.mod.modulus
+        return {t: _tile(level, q, m) for t, level in enumerate(self.sums.levels, start=1)}
 
     def members(self, t: int) -> set[int]:
         bits = bin(self.masks[t])[:1:-1]  # least significant bit first
@@ -147,30 +139,30 @@ def _require_sumset_cell(mod: PrimePowerModulus) -> None:
 
 
 def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
-    """Masks of F, F+2, ..., F+max_t plus the coverage verdicts."""
+    """Levels F, F+2, ..., F+max_t and the coverage verdicts, all read at q."""
     _require_sumset_cell(mod)
     if max_t < 4:
         raise OutOfRange("max_t below 4 cannot decide the coverage theorem")
     m = mod.modulus
     small = reduced_sumsets(mod, max_t)
-    masks = {t: _tile(level, small.q, m) for t, level in enumerate(small.levels, start=1)}
-    full = (1 << m) - 1
-    union34 = masks[3] | masks[4]
-    n0_mask = _tile(1, mod.p, m) ^ 1  # the nonzero multiples of p
+    q, levels = small.q, small.levels
+    s3, s4 = levels[2], levels[3]
+    # the classes mod q of the nonzero multiples of p; at k = 2 class 0 holds only x = 0
+    n0_mask = _tile(1, mod.p, q) ^ (q == m)
     witnesses: dict[int, tuple[int, ...]] = {}  # spot checks: each level's smallest member
     for t in range(2, max_t + 1):
-        level = small.levels[t - 1]
+        level = levels[t - 1]
         if level:
             probe = (level & -level).bit_length() - 1
             witnesses[probe] = decompose_residue(mod, probe, t)
     return CoverageReport(
         mod=mod,
-        masks=masks,
-        counts={t: mask.bit_count() for t, mask in masks.items()},
-        theorem_holds=union34 == full,
-        n0_covered_by3=masks[3] & n0_mask == n0_mask,
-        conjecture_f3_in_f4=masks[3] & ~masks[4] == 0,
-        disjoint_f3_f4=masks[3] & masks[4] == 0,
+        sums=small,
+        counts={t: level.bit_count() * (m // q) for t, level in enumerate(levels, start=1)},
+        theorem_holds=s3 | s4 == (1 << q) - 1,
+        n0_covered_by3=s3 & n0_mask == n0_mask,
+        conjecture_f3_in_f4=s3 & ~s4 == 0,
+        disjoint_f3_f4=s3 & s4 == 0,
         witness_decompositions=witnesses,
     )
 
@@ -313,10 +305,6 @@ def h_triple_coresum(p: int) -> TripleWitness:
         if c:
             return TripleWitness(m=c // p, triple=(r, p - 1 - r, 1), coresum=c, degenerate_h=r != h)
     raise NoTripleFound(f"no (r, s, 1) triple with nonzero coresum for p = {p}")
-
-
-def class_of(mod: PrimePowerModulus, x: int) -> int:
-    return x % mod.p
 
 
 def translation_class(mod: PrimePowerModulus, i: int) -> set[int]:

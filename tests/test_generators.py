@@ -89,7 +89,7 @@ def test_wieferich_small_window():
         assert oracles.naive_wieferich(p)
 
 
-def test_wieferich_kernel_matches_naive():
+def test_wieferich_kernel_matches_naive(monkeypatch):
     ps = [n for n in range(2, 20001) if oracles.naive_is_prime(n)]
     # (first, last) prime indices of a slice, and scan windows (lo, hi, block);
     # both start mid-batch of a scan from 2, and the windows cross block edges
@@ -101,7 +101,8 @@ def test_wieferich_kernel_matches_naive():
             assert kernel(ps[i:j]) == [p for p in ps[i:j] if oracles.naive_wieferich(p, base)], (base, i, j)
         for lo, hi, block in windows:
             want = [p for p in ps if lo <= p <= hi and oracles.naive_wieferich(p, base)]
-            assert scan_primes(kernel, lo, hi, block=block) == want, (base, lo, hi)
+            monkeypatch.setattr(generators, "SCAN_BLOCK", block)
+            assert scan_primes(kernel, lo, hi) == want, (base, lo, hi)
     assert wieferich_test(5)([2, 3, 5, 20771]) == [2, 20771]
     assert wieferich_test(10)([2, 3, 5, 487]) == [3, 487]
 
@@ -141,7 +142,9 @@ def test_pool_capped_at_block_count(monkeypatch):
     assert [(p.max_workers, p.blocks) for p in pools] == [(11, 11)]
     pools.clear()
     # more blocks than jobs: the pool keeps the requested size
-    assert wieferich_scan(4000, jobs=2, block=500) == [1093, 3511]
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "SCAN_BLOCK", 500)
+        assert wieferich_scan(4000, jobs=2) == [1093, 3511]
     assert [(p.max_workers, p.blocks) for p in pools] == [(2, 8)]
     pools.clear()
     # under jobs > 1 the range is cut into 4 * jobs blocks, so the heavy top ones spread out

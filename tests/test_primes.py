@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from pkcore import generators
 from pkcore.errors import FactorizationFailure
 from pkcore.generators import scan_primes
 from pkcore.primes import factor_table, factorize, is_prime, power_table, primes_in_range
@@ -68,11 +69,12 @@ def test_primes_in_range_near_base_prime_squares():
                 assert got == [n for n in range(lo, hi + 1) if oracles.naive_is_prime(n)], (lo, hi)
 
 
-def test_scan_primes_small_blocks():
+def test_scan_primes_small_blocks(monkeypatch):
     for lo, hi in [(0, 400), (2, 401), (3, 400), (120, 371)]:
         want = [n for n in range(lo, hi + 1) if oracles.naive_is_prime(n)]
         for block in (1, 2, 3, 4, 5, 7, 8, 16, 33):
-            assert scan_primes(list, lo, hi, block=block) == want, (lo, hi, block)
+            monkeypatch.setattr(generators, "SCAN_BLOCK", block)
+            assert scan_primes(list, lo, hi) == want, (lo, hi, block)
 
 
 def test_factor_table():

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 import oracles
 from pkcore import corefst, waring
+from pkcore.cli import main
 from pkcore.corefst import build_core_table, pth_power_members
 from pkcore.errors import CheckFailure, EvenPrime, NoTripleFound, NotPrime, OutOfRange
 from pkcore.modring import make_modulus
 from pkcore.pairsums import fermat_pairsum_count
 from pkcore.waring import (
-    class_of,
     decompose_residue,
     h_triple_coresum,
     sumset_levels,
@@ -191,7 +191,7 @@ def test_translation_classes_partition():
     for i in range(5):
         cls = translation_class(mod, i)
         assert len(cls) == 5
-        assert all(class_of(mod, x) == i for x in cls)
+        assert all(x % 5 == i for x in cls)
         seen |= cls
     assert seen == set(range(25))
 
@@ -286,3 +286,19 @@ def test_levels_shared_across_depths():
     assert len(waring._level_cache(7, 2).levels) == 6
     assert waring._level_cache.cache_info().misses == 1
     assert all(a is b for a, b in zip(first, waring.reduced_sumsets(mod, 6).levels))
+
+
+def test_sumset_levels_tiles_nothing_until_read(monkeypatch, capsys):
+    tile = waring._tile
+
+    def tile_within_q(pattern, period, m):
+        if m > 9:  # q = 3^2
+            raise AssertionError(f"tiled a {m}-bit mask before any mask was read")
+        return tile(pattern, period, m)
+
+    monkeypatch.setattr(waring, "_tile", tile_within_q)
+    report = sumset_levels(make_modulus(3, 11), 4)
+    assert main(["waring", "-p", "3", "-k", "11"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert report.masks == oracles.bitset_coverage(3, 11)["masks"]
