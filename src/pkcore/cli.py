@@ -6,6 +6,12 @@ Report (command, p, k, rows) and renders it as human text (residues in
 base-p), jsonl (one self-describing record per row), or csv. Timing
 goes to stderr so stdout stays stable.
 
+A report's jsonl is one json.dumps of its list of records, cut into
+lines at '}, {"schema_version": ', the text between two records. No
+row holds that text (strings escape their quotes, and no command emits
+a list of objects); render_jsonl checks that it cut exactly one line per
+row and raises ValueError otherwise, so a miss is never silent.
+
 kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
 --checkpoint for scans): the Wieferich scan through its batched block
 kernel, kp, exceptions and note4 through per-prime rows. --jobs is
@@ -43,7 +49,6 @@ from .errors import (
     EXIT_OK,
     BadConfig,
     CheckFailure,
-    NoTripleFound,
     OutOfRange,
     PkcoreError,
 )
@@ -163,14 +168,32 @@ def render_human(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RECORD_SEP = '}, {"schema_version": '
+_LINE_SEP = '}\n{"schema_version": '
+
+
 def render_jsonl(report: Report) -> str:
+    """One line per row, meta | row, or one {"rows": 0} record when empty.
+
+    The records are encoded by one json.dumps of their list and cut at
+    _RECORD_SEP: json.dumps's default separators put "}, {" between two
+    records, and meta | row keeps schema_version first. A string value
+    cannot hold the separator (its quotes are escaped) and no command
+    emits a list of objects, so each cut falls between two records. The
+    guard: a row that holds the separator anyway gives more pieces than
+    records, and raises ValueError.
+    """
     meta = {
         "schema_version": SCHEMA_VERSION,
         "command": report.command,
         "p": report.p,
         "k": report.k,
     }
-    return "".join(json.dumps(meta | row) + "\n" for row in report.rows) or json.dumps(meta | {"rows": 0}) + "\n"
+    rows = report.rows or [{"rows": 0}]
+    records = json.dumps([meta | row for row in rows])[1:-1].split(_RECORD_SEP)
+    if len(records) != len(rows):
+        raise ValueError(f"a {report.command} row holds the jsonl record separator {_RECORD_SEP!r}")
+    return _LINE_SEP.join(records) + "\n"
 
 
 def parse_jsonl(text: str) -> Report:
@@ -376,13 +399,11 @@ def cmd_decompose(args, cfg) -> Report:
     x = args.residue % mod.modulus
     if args.max_t < 1:
         raise OutOfRange(f"need at least one summand, got --max-t {args.max_t}")
-    for t in range(1, args.max_t + 1):
-        try:
-            summands = waring.decompose_residue(mod, x, t)
-        except NoTripleFound:
-            continue
-        rows = [{"residue": x, "level": t, "summands": list(summands)}]
-        return Report(command="decompose", rows=rows, p=args.p, k=args.k)
+    for t in range(1, args.max_t + 1):  # lazy in t: no level above the answer is built
+        sums = waring.reduced_sumsets(mod, t)
+        if sums.levels[-1] >> (x % sums.q) & 1:
+            rows = [{"residue": x, "level": t, "summands": list(waring.decompose_residue(mod, x, t))}]
+            return Report(command="decompose", rows=rows, p=args.p, k=args.k)
     return Report(
         command="decompose",
         rows=[{"residue": x, "level": 0, "summands": []}],

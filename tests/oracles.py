@@ -9,6 +9,7 @@ the only route to a value.
 from __future__ import annotations
 
 import itertools
+import json
 
 import sympy
 
@@ -267,3 +268,9 @@ def naive_extension_pairsum_check(p: int, k: int, e: int) -> tuple[bool, int, in
     units = naive_unit_pairsums(x, p, m)
     union = {v * d % m for d in increments for v in x}
     return units == union, len(units), len(union)
+
+
+def naive_render_jsonl(report) -> str:
+    """The jsonl of a pkcore.cli.Report, one json.dumps per record (schema 1)."""
+    meta = {"schema_version": 1, "command": report.command, "p": report.p, "k": report.k}
+    return "".join(json.dumps(meta | row) + "\n" for row in report.rows or [{"rows": 0}])

@@ -12,11 +12,13 @@ import oracles
 import pkcore.cli
 import pkcore.pairsums
 import pytest
-from pkcore import corefst
-from pkcore.cli import main, parse_jsonl, render_human
+from pkcore import corefst, waring
+from pkcore.cli import Report, main, parse_jsonl, render_human, render_jsonl
 from pkcore.errors import CheckFailure
 from pkcore.modring import base_p_decode, make_modulus
 from pkcore.primes import primes_in_range
+
+GRID = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3)]  # the acceptance grid
 
 
 def run(capsys, *argv):
@@ -259,6 +261,64 @@ def test_decompose_max_t_below_one_is_bad_input(capsys):
     for max_t in ("0", "-2"):
         code, out, err = run(capsys, "decompose", "-p", "7", "-k", "3", "14", "--max-t", max_t)
         assert code == 6 and out == "" and "--max-t" in err, max_t
+
+
+def test_decompose_searches_once_per_call(monkeypatch, capsys):
+    calls = []
+    real = waring.decompose_residue
+
+    def counted(mod, x, t):
+        calls.append((mod.p, mod.k, x, t))
+        return real(mod, x, t)
+
+    monkeypatch.setattr(waring, "decompose_residue", counted)
+    for p, k in [(5, 3), (7, 3)]:
+        levels, seen = oracles.naive_sum_levels(p, k), set()
+        for t in range(1, 5):
+            for x in sorted(levels[t] - seen)[:3]:  # residues whose least level is t
+                argv = ["decompose", "-p", str(p), "-k", str(k), str(x), "--format", "jsonl"]
+                calls.clear()
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and json.loads(out)["level"] == t, (p, k, x)
+                assert calls == [(p, k, x, t)], (p, k, x, calls)
+                if t > 1:  # below its level: the level-0 row, exit 2, and no search
+                    calls.clear()
+                    code, out, _ = run(capsys, *argv, "--max-t", str(t - 1))
+                    assert code == 2 and json.loads(out)["level"] == 0 and calls == [], (p, k, x)
+            seen |= levels[t]
+
+
+TRICKY_REPORTS = [
+    Report("x", [{"s": s} for s in ('say "hi"', "two\nlines", "}, {", '}, {"schema_version": 1', "\\\"")], p=5, k=2),
+    Report("kp", [{"p": 7, "kp": 2, "profile": {"2": 3}}, {"p": 11, "k": 3, "warning": "}, {"}]),
+    Report("waring", [{"p": 3, "k": 4, "counts": {"1": 18}}, {"residue": 0, "summands": [1, 80]}], p=3, k=4),
+    Report("x", [{}], p=3, k=2),
+    Report("x", [{}, {"v": [], "d": {}}, {}]),
+    Report("scan", []),
+    Report("divisors", [], p=11),
+]
+
+
+def test_render_jsonl_matches_per_row_reference(monkeypatch, capsys):
+    for report in TRICKY_REPORTS:
+        assert render_jsonl(report) == oracles.naive_render_jsonl(report), report
+    # a list of objects can hold the record separator: refused, never mis-cut
+    for rows in ([{"v": [{"a": 1}, {"schema_version": 1}]}], [{}, {"v": [{}, {"schema_version": 2}]}, {}]):
+        with pytest.raises(ValueError, match="separator"):
+            render_jsonl(Report("x", rows))
+    argvs = [["kp", "--from", "3", "--to", "13"], ["scan", "note4", "--to", "13"]]
+    argvs += [["scan", kind, "--to", "13"] for kind in ("wieferich", "exceptions")]
+    for p, k in GRID:
+        pk = ["-p", str(p), "-k", str(k)]
+        argvs += [["core", *pk], ["increments", *pk], ["pairsums", *pk], ["waring", *pk], ["divisors", "-p", str(p)]]
+        argvs += [["decompose", *pk, str(x)] for x in (0, 1, p, 2 * p + 1)]
+        argvs.append(["decompose", *pk, "2", "--max-t", "1"])
+    got = [run(capsys, *argv, "--format", "jsonl")[:2] for argv in argvs]
+    monkeypatch.setattr(pkcore.cli, "render_jsonl", oracles.naive_render_jsonl)
+    want = [run(capsys, *argv, "--format", "jsonl")[:2] for argv in argvs]
+    for argv, g, w in zip(argvs, got, want):
+        assert g == w, argv
+    assert {argv[0] for argv in argvs} == set(pkcore.cli._parser.commands)
 
 
 def test_pairsums_below_critical_notes(capsys):
