@@ -26,7 +26,6 @@ from .generators import (
 )
 from .modring import (
     PrimePowerModulus,
-    Residue,
     base_p_decode,
     base_p_encode,
     decompose_unit,
@@ -49,7 +48,6 @@ __all__ = [
     "Oversize",
     "PkcoreError",
     "PrimePowerModulus",
-    "Residue",
     "audit_divisors",
     "base_p_decode",
     "base_p_encode",

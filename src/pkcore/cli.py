@@ -52,12 +52,7 @@ from .errors import (
     OutOfRange,
     PkcoreError,
 )
-from .modring import (
-    DEFAULT_TABLE_BOUND,
-    Residue,
-    base_p_encode,
-    make_modulus,
-)
+from .modring import DEFAULT_TABLE_BOUND, base_p_encode, make_modulus
 from .modring import _DIGITS as DIGIT_CHARS
 
 SCHEMA_VERSION = 1
@@ -137,9 +132,9 @@ def _columns(rows: list[dict]) -> list[str]:
 def _fmt_value(command: str, key: str, value, mod) -> str:
     if mod is not None and key in RESIDUE_FIELDS.get(command, ()):
         if isinstance(value, int):
-            return base_p_encode(Residue(value, mod))
+            return base_p_encode(mod, value)
         if isinstance(value, (list, tuple)):
-            return "+".join(base_p_encode(Residue(v, mod)) for v in value)
+            return "+".join(base_p_encode(mod, v) for v in value)
     if key == "carry" and mod is not None and mod.p <= 36:
         return DIGIT_CHARS[value]
     if isinstance(value, bool):

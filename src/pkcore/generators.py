@@ -63,7 +63,7 @@ from functools import partial
 
 from .corefst import build_core_table
 from .errors import BadCheckpoint, BadConfig, CheckFailure, OutOfRange
-from .modring import core_order, make_modulus, split_order
+from .modring import core_order, is_core, make_modulus, split_order
 from .primes import factorize, primes_in_range
 
 __all__ = [
@@ -348,18 +348,13 @@ def corollary_check(p: int) -> bool:
     if p in (2, 3):
         raise OutOfRange("needs p >= 5 so that 2 and 3 are units")
     for k in (3, 4):
-        m = p ** k
-        cores = build_core_table(make_modulus(p, k, arithmetic_only=True)).core[:8]
+        mod = make_modulus(p, k, arithmetic_only=True)
+        cores = build_core_table(mod).core[:8]
         for n in (2, 3):
-            inv = pow(n, -1, m)
-            quad = (n % m, -n % m, inv, -inv % m)
-            for x in quad:
-                if pow(x, p, m) == x:
+            inv = pow(n, -1, mod.modulus)
+            for x in (n, -n, inv, -inv):
+                if is_core(mod, x) or any(is_core(mod, x * a) for a in cores):
                     return False
-                for a in cores:
-                    y = x * a % m
-                    if pow(y, p, m) == y:
-                        return False
     return True
 
 

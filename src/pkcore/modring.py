@@ -1,4 +1,4 @@
-"""Residue arithmetic mod p^k and the multiplicative structure G = A.B.
+"""Arithmetic mod p^k and the multiplicative structure G = A.B.
 
 The unit group G_k mod p^k (odd prime p) is cyclic of order (p-1)*p^(k-1)
 and splits as a direct product of the core A_k (the unique subgroup of
@@ -7,8 +7,11 @@ B_k = {units = 1 mod p} of order p^(k-1), generated by p+1. Between A_k
 and G_k sit the core extensions X^(e) = A_k * Y^(e) with Y^(e) generated
 by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
-Here live the moduli, residues and orders; the sets A_k and F_k are
-built in corefst, from its core table. An order is read off the split:
+Here live the moduli and orders; the sets A_k and F_k are built in
+corefst, from its core table. A residue is a plain int in [0, p^k):
+is_core, decompose_unit, multiplicative_order and base_p_encode take
+(mod, x), reduce any int x mod p^k themselves, and the unit functions
+raise NotAUnit when p divides x. An order is read off the split:
 the order d of r mod p (core_order, a peel of the primes of p-1 mod p)
 times the order of r^(p-1) in B_k (split_order), so a caller that
 already holds r^(p-1), such as the divisor lattice in generators, pays
@@ -29,7 +32,8 @@ preimage of the core of p^(k-e) (see pairsums).
 
 This module also owns the base-p text codec used by the CLI: fixed-width
 strings, most significant digit first, digits 0-9 then a-z for p <= 36,
-dot-separated decimal digit groups for larger p.
+dot-separated decimal digit groups for larger p; base_p_decode(s, mod)
+returns the int.
 """
 
 from __future__ import annotations
@@ -112,33 +116,6 @@ def make_modulus(
     )
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A canonical residue in [0, p^k), tagged with its ring."""
-
-    value: int
-    mod: PrimePowerModulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.mod.modulus)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.value % self.mod.p != 0
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        return Residue(self.value * other.value % self.mod.modulus, self.mod)
-
-    def __add__(self, other: "Residue") -> "Residue":
-        return Residue((self.value + other.value) % self.mod.modulus, self.mod)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.mod.modulus, self.mod)
-
-    def __int__(self) -> int:
-        return self.value
-
-
 @lru_cache(maxsize=1024)
 def _unit_group_primes_mod_p(p: int) -> tuple[int, ...]:
     """The primes dividing p-1, the order of the units mod p."""
@@ -174,12 +151,12 @@ def split_order(p: int, k: int, d: int, w: int) -> int:
     return d * p ** (k - j)
 
 
-def multiplicative_order(n: Residue) -> int:
-    """Least t >= 1 with n^t = 1: split_order of n with one pow for n^(p-1)."""
-    if not n.is_unit:
-        raise NotAUnit(f"{n.value} is divisible by p = {n.mod.p}")
-    p, k, m = n.mod.p, n.mod.k, n.mod.modulus
-    return split_order(p, k, core_order(p, n.value), pow(n.value, p - 1, m))
+def multiplicative_order(mod: PrimePowerModulus, x: int) -> int:
+    """Least t >= 1 with x^t = 1: split_order of x with one pow for x^(p-1)."""
+    x %= mod.modulus
+    if x % mod.p == 0:
+        raise NotAUnit(f"{x} is divisible by p = {mod.p}")
+    return split_order(mod.p, mod.k, core_order(mod.p, x), pow(x, mod.p - 1, mod.modulus))
 
 
 def is_core(mod: PrimePowerModulus, x: int) -> bool:
@@ -187,21 +164,20 @@ def is_core(mod: PrimePowerModulus, x: int) -> bool:
     return x % mod.p != 0 and pow(x, mod.p, mod.modulus) == x
 
 
-def decompose_unit(n: Residue) -> tuple[Residue, Residue]:
+def decompose_unit(mod: PrimePowerModulus, x: int) -> tuple[int, int]:
     """Split a unit into (core part, extension part).
 
-    The core part is the unique element of A_k congruent to n mod p,
-    computed as n^(p^(k-1) * u) with u the inverse of p^(k-1) mod p-1;
+    The core part is the unique element of A_k congruent to x mod p,
+    computed as x^(p^(k-1) * u) with u the inverse of p^(k-1) mod p-1;
     the extension part is the 1-mod-p cofactor.
     """
-    if not n.is_unit:
-        raise NotAUnit(f"{n.value} is divisible by p = {n.mod.p}")
-    mod = n.mod
+    x %= mod.modulus
+    if x % mod.p == 0:
+        raise NotAUnit(f"{x} is divisible by p = {mod.p}")
     q = mod.p ** (mod.k - 1)
     u = pow(q, -1, mod.p - 1)
-    core = pow(n.value, q * u, mod.modulus)
-    ext = n.value * pow(core, -1, mod.modulus) % mod.modulus
-    return Residue(core, mod), Residue(ext, mod)
+    core = pow(x, q * u, mod.modulus)
+    return core, x * pow(core, -1, mod.modulus) % mod.modulus
 
 
 # --- base-p codec ------------------------------------------------------
@@ -210,11 +186,11 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _LETTER_CAP = 36  # 0-9 and a-z cover digit values 0..35
 
 
-def base_p_encode(n: Residue) -> str:
-    """Fixed-width base-p string, msd first, exactly k digits."""
-    p, k = n.mod.p, n.mod.k
+def base_p_encode(mod: PrimePowerModulus, x: int) -> str:
+    """Fixed-width base-p string of x mod p^k, msd first, exactly k digits."""
+    p, k = mod.p, mod.k
     digits = []
-    v = n.value
+    v = x % mod.modulus
     for _ in range(k):
         digits.append(v % p)
         v //= p
@@ -224,7 +200,7 @@ def base_p_encode(n: Residue) -> str:
     return ".".join(str(d) for d in digits)
 
 
-def base_p_decode(s: str, mod: PrimePowerModulus) -> Residue:
+def base_p_decode(s: str, mod: PrimePowerModulus) -> int:
     p, k = mod.p, mod.k
     if p <= _LETTER_CAP:
         if len(s) > k:
@@ -235,7 +211,7 @@ def base_p_decode(s: str, mod: PrimePowerModulus) -> Residue:
             if d < 0 or d >= p:
                 raise BadDigit(f"{ch!r} is not a base-{p} digit")
             value = value * p + d
-        return Residue(value, mod)
+        return value
     parts = s.split(".") if s else []
     if len(parts) > k:
         raise WrongLength(f"{s!r} has more than k = {k} digit groups")
@@ -247,4 +223,4 @@ def base_p_decode(s: str, mod: PrimePowerModulus) -> Residue:
         if d >= p:
             raise BadDigit(f"digit group {d} is not below p = {p}")
         value = value * p + d
-    return Residue(value, mod)
+    return value

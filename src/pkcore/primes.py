@@ -31,6 +31,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _TRIAL_BOUND = 10 ** 6
 
 RHO_MAX_ITERS = 1 << 21  # per Pollard rho round
+RHO_MAX_ROUNDS = 64  # per factorize call
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -211,11 +212,11 @@ def _pollard_rho_brent(n: int, rng: random.Random, max_iters: int) -> int:
     return g if g != n else 0
 
 
-def factorize(n: int, max_rounds: int = 64, max_iters: int = RHO_MAX_ITERS) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization {prime: exponent}. Raises FactorizationFailure
-    if Pollard rho cannot split a composite within max_rounds rounds of
-    at most max_iters iterations each. The rho generator is seeded with a
-    constant, so results are deterministic."""
+    if Pollard rho cannot split a composite within RHO_MAX_ROUNDS rounds
+    of at most RHO_MAX_ITERS iterations each. The rho generator is seeded
+    with a constant, so results are deterministic."""
     if n < 1:
         raise FactorizationFailure(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -250,9 +251,9 @@ def factorize(n: int, max_rounds: int = 64, max_iters: int = RHO_MAX_ITERS) -> d
         g = 0
         while g == 0:
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > RHO_MAX_ROUNDS:
                 raise FactorizationFailure(f"rho budget exhausted splitting {m}")
-            g = _pollard_rho_brent(m, rng, max_iters)
+            g = _pollard_rho_brent(m, rng, RHO_MAX_ITERS)
         stack.append(g)
         stack.append(m // g)
     return out

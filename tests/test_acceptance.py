@@ -23,7 +23,7 @@ import time
 import suites
 from pkcore.corefst import build_core_table, critical_precision, integer_increments
 from pkcore.generators import exception_scan, survey_pm1_generators, wieferich_scan
-from pkcore.modring import Residue, base_p_encode, make_modulus
+from pkcore.modring import base_p_encode, make_modulus
 from pkcore.pairsums import core_pairsum_count, fermat_pairsum_count
 from pkcore.primes import primes_in_range
 from pkcore.waring import sumset_levels, verify_multiples_of_p
@@ -37,7 +37,7 @@ def _line(n: int, ok: bool, detail: str) -> bool:
 
 
 def enc(x, p, k):
-    return base_p_encode(Residue(x, make_modulus(p, k, arithmetic_only=True)))
+    return base_p_encode(make_modulus(p, k, arithmetic_only=True), x)
 
 
 def test_criterion_1_critical_precision():

@@ -39,7 +39,7 @@ def test_core_5_2_rows(capsys):
     assert code == 0
     mod = make_modulus(5, 2)
     cores = {
-        int(base_p_decode(line.split()[1], mod))
+        base_p_decode(line.split()[1], mod)
         for line in out.splitlines()
         if line[:1].isdigit()
     }

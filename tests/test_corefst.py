@@ -17,12 +17,12 @@ from pkcore.corefst import (
     recurrence_step_identity,
 )
 from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange
-from pkcore.modring import Residue, base_p_encode, make_modulus
+from pkcore.modring import base_p_encode, make_modulus
 from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
 
 
 def enc(x, p, k):
-    return base_p_encode(Residue(x, make_modulus(p, k, arithmetic_only=True)))
+    return base_p_encode(make_modulus(p, k, arithmetic_only=True), x)
 
 
 def test_fst_carry_golden():

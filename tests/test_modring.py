@@ -4,9 +4,8 @@ import pytest
 
 import oracles
 from pkcore.corefst import core_members, pth_power_members
-from pkcore.errors import BadDigit, BadExponent, EvenPrime, NotPrime, Oversize, WrongLength
+from pkcore.errors import BadDigit, BadExponent, EvenPrime, NotAUnit, NotPrime, Oversize, WrongLength
 from pkcore.modring import (
-    Residue,
     base_p_decode,
     base_p_encode,
     core_order,
@@ -19,7 +18,7 @@ from pkcore.primes import primes_in_range
 
 
 def dec(text, p, k):
-    return int(base_p_decode(text, make_modulus(p, k, arithmetic_only=True)))
+    return base_p_decode(text, make_modulus(p, k, arithmetic_only=True))
 
 
 def test_make_modulus_validation():
@@ -63,14 +62,25 @@ def test_orders():
     assert len(oracles.naive_extension_members(11, 3, 1)) == 110
 
 
-def test_residue_ops():
+def test_residues_reduce_and_units_are_checked():
     mod = make_modulus(5, 2)
-    a = Residue(27, mod)
-    assert int(a) == 2
-    assert int(-a) == 23
-    assert int(a + Residue(24, mod)) == 1
-    assert int(a * Residue(13, mod)) == 1
-    assert a.is_unit and not Residue(10, mod).is_unit
+    assert base_p_encode(mod, 27) == "02"
+    assert base_p_encode(mod, -1) == base_p_encode(mod, mod.modulus - 1) == "44"
+    for x in (0, 10, -5, 25, 50):  # multiples of p are not units
+        with pytest.raises(NotAUnit):
+            decompose_unit(mod, x)
+        with pytest.raises(NotAUnit):
+            multiplicative_order(mod, x)
+    for p, k in [(5, 2), (7, 3), (11, 1)]:
+        mod = make_modulus(p, k)
+        m = mod.modulus
+        for x in range(1, m, max(1, m // 40)):
+            shifted = (x + m, x - m)
+            assert all(base_p_encode(mod, y) == base_p_encode(mod, x) for y in shifted)
+            assert all(is_core(mod, y) == is_core(mod, x) for y in shifted)
+            if x % p:
+                assert all(decompose_unit(mod, y) == decompose_unit(mod, x) for y in shifted)
+                assert all(multiplicative_order(mod, y) == multiplicative_order(mod, x) for y in shifted)
 
 
 def test_core_members_5_2():
@@ -113,9 +123,7 @@ def test_core_extensions_interpolate():
 
 def test_is_core_and_decompose():
     mod = make_modulus(5, 2)
-    core, ext = decompose_unit(Residue(2, mod))
-    assert (int(core), int(ext)) == (7, 11)
-    assert int(core * ext) == 2
+    assert decompose_unit(mod, 2) == (7, 11)
     rng = random.Random(5)
     for _ in range(200):
         p = rng.choice([3, 5, 7, 11, 13])
@@ -124,10 +132,10 @@ def test_is_core_and_decompose():
         x = rng.randint(1, m.modulus - 1)
         if x % p == 0:
             continue
-        c, e = decompose_unit(Residue(x, m))
-        assert int(c * e) == x
-        assert is_core(m, int(c))
-        assert pow(int(e), p ** (k - 1), m.modulus) == 1
+        c, e = decompose_unit(m, x)
+        assert c * e % m.modulus == x
+        assert is_core(m, c)
+        assert pow(e, p ** (k - 1), m.modulus) == 1
         assert is_core(m, x) == (pow(x, p, m.modulus) == x)
 
 
@@ -140,7 +148,7 @@ def test_multiplicative_order_vs_sympy():
         x = rng.randint(1, mod.modulus - 1)
         if x % p == 0:
             continue
-        assert multiplicative_order(Residue(x, mod)) == oracles.naive_order(x, mod.modulus)
+        assert multiplicative_order(mod, x) == oracles.naive_order(x, mod.modulus)
 
 
 def _minus_order(d):
@@ -167,9 +175,9 @@ def test_partner_rule_on_divisors_of_p2_and_p4_minus_1():
 
 
 def test_codec_golden():
-    assert base_p_encode(Residue(596, make_modulus(11, 3))) == "4a2"
+    assert base_p_encode(make_modulus(11, 3), 596) == "4a2"
     assert dec("4a2", 11, 3) == 596
-    assert base_p_encode(Residue(1, make_modulus(11, 3))) == "001"
+    assert base_p_encode(make_modulus(11, 3), 1) == "001"
     assert dec("061", 11, 3) == 67
     assert dec("661", 11, 3) == 793
 
@@ -191,8 +199,8 @@ def test_codec_errors():
 
 def test_codec_large_base_dot_form():
     mod = make_modulus(41, 2, arithmetic_only=True)
-    assert base_p_encode(Residue(3 * 41 + 7, mod)) == "3.7"
-    assert int(base_p_decode("3.7", mod)) == 130
+    assert base_p_encode(mod, 3 * 41 + 7) == "3.7"
+    assert base_p_decode("3.7", mod) == 130
 
 
 def test_codec_roundtrip_random():
@@ -202,4 +210,4 @@ def test_codec_roundtrip_random():
         k = rng.randint(1, 5)
         mod = make_modulus(p, k, arithmetic_only=True)
         x = rng.randint(0, mod.modulus - 1)
-        assert int(base_p_decode(base_p_encode(Residue(x, mod)), mod)) == x
+        assert base_p_decode(base_p_encode(mod, x), mod) == x

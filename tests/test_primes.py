@@ -131,10 +131,14 @@ def test_factorize_semiprime():
     assert factorize(p * q) == {p: 1, q: 1}
 
 
-def test_factorize_gives_up_cleanly():
+def test_factorize_gives_up_cleanly(monkeypatch):
+    import pkcore.primes
+
+    monkeypatch.setattr(pkcore.primes, "RHO_MAX_ROUNDS", 1)
+    monkeypatch.setattr(pkcore.primes, "RHO_MAX_ITERS", 1 << 10)
     n = (2**127 - 1) * (2**107 - 1)  # far beyond trial division
     with pytest.raises(FactorizationFailure):
-        factorize(n, max_rounds=1, max_iters=1 << 10)
+        factorize(n)
 
 
 def test_factorize_seeds_rho_only_when_needed(monkeypatch):

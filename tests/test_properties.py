@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 import oracles
 from pkcore.corefst import core_by_recurrence, fst_carry, recurrence_step_identity
 from pkcore.modring import (
-    Residue,
     base_p_decode,
     base_p_encode,
     decompose_unit,
@@ -21,7 +20,7 @@ SMALL_PRIMES = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_codec_round_trip(p, k, seed):
     mod = make_modulus(p, k, arithmetic_only=True)
     x = seed % mod.modulus
-    assert int(base_p_decode(base_p_encode(Residue(x, mod)), mod)) == x
+    assert base_p_decode(base_p_encode(mod, x), mod) == x
 
 
 @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 10**9))
@@ -65,13 +64,12 @@ def test_core_factor_is_idempotent_part(p, k, seed):
     x = seed % mod.modulus
     if x % p == 0:
         x += 1
-    core, ext = decompose_unit(Residue(x, mod))
-    assert int(core * ext) == x % mod.modulus
-    assert is_core(mod, int(core))
-    assert pow(int(ext), p ** (k - 1), mod.modulus) == 1
+    core, ext = decompose_unit(mod, x)
+    assert core * ext % mod.modulus == x % mod.modulus
+    assert is_core(mod, core)
+    assert pow(ext, p ** (k - 1), mod.modulus) == 1
     # the split is unique: re-splitting a core element is a fixed point
-    c2, e2 = decompose_unit(core)
-    assert (int(c2), int(e2)) == (int(core), 1)
+    assert decompose_unit(mod, core) == (core, 1)
 
 
 @given(SMALL_PRIMES, st.integers(0, 10**6), st.integers(0, 10**6))
@@ -89,4 +87,4 @@ def test_multiplicative_order_matches_sympy(p, k, seed):
     x = seed % mod.modulus
     if x % p == 0:
         x += 1
-    assert multiplicative_order(Residue(x, mod)) == oracles.naive_order(x, mod.modulus)
+    assert multiplicative_order(mod, x) == oracles.naive_order(x, mod.modulus)

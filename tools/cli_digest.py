@@ -1,0 +1,50 @@
+"""One sha256 over the stdout and exit code of a fixed set of CLI calls.
+
+Run as `PYTHONPATH=<tree>/src python tools/cli_digest.py` against two
+trees: equal digests mean every call below printed the same bytes and
+exited with the same code. Stderr is left out (it holds `elapsed:`).
+Calls run in-process through pkcore.cli.main, in a scratch directory
+with no PKCORE_* variables, so no config file or environment applies.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from pkcore.cli import main
+
+CELLS = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3), (3, 11), (41, 2), (37, 3)]
+CALLS = [[cmd, "-p", str(p), "-k", str(k)] for p, k in CELLS for cmd in ("core", "increments", "pairsums", "waring")]
+CALLS += [["decompose", "-p", str(p), "-k", str(k), str(x)] for p, k in CELLS for x in (0, 1, p, -5, p * p - 1)]
+CALLS += [["divisors", "-p", "11"], ["divisors", "-p", "73"], ["kp", "--to", "120"]]
+CALLS += [["scan", "wieferich", "--to", "4000"], ["scan", "exceptions", "--to", "120"], ["scan", "note4", "--to", "40"]]
+CALLS += [["core", "-p", "3", "-k", "40"], ["waring", "-p", "9", "-k", "2"]]  # oversize, not prime
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects bad flags this way
+            code = exc.code
+    return code, out.getvalue()
+
+
+def digest() -> str:
+    h = hashlib.sha256()
+    for fmt in ("human", "jsonl", "csv"):
+        for argv in CALLS:
+            code, out = run(argv + ["--format", fmt])
+            h.update(f"{argv} {fmt} {code}\n{out}\n".encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    for key in [k for k in os.environ if k.startswith("PKCORE_")]:
+        del os.environ[key]
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        print(f"{len(CALLS) * 3} calls  sha256 {digest()}")
