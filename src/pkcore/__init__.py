@@ -26,12 +26,9 @@ from .generators import (
 )
 from .modring import (
     PrimePowerModulus,
-    base_p_decode,
     base_p_encode,
-    decompose_unit,
     is_core,
     make_modulus,
-    multiplicative_order,
 )
 from .pairsums import core_pairsum_count, fermat_pairsum_count
 from .primes import factorize, is_prime, primes_in_range
@@ -49,7 +46,6 @@ __all__ = [
     "PkcoreError",
     "PrimePowerModulus",
     "audit_divisors",
-    "base_p_decode",
     "base_p_encode",
     "build_core_table",
     "core_by_recurrence",
@@ -57,7 +53,6 @@ __all__ = [
     "core_pairsum_count",
     "critical_precision",
     "decompose_residue",
-    "decompose_unit",
     "exception_scan",
     "factorize",
     "fermat_pairsum_count",
@@ -66,7 +61,6 @@ __all__ = [
     "is_core",
     "is_prime",
     "make_modulus",
-    "multiplicative_order",
     "primes_in_range",
     "pth_power_members",
     "sumset_levels",

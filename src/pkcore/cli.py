@@ -16,7 +16,8 @@ kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
 --checkpoint for scans): the Wieferich scan through its batched block
 kernel, kp, exceptions and note4 through per-prime rows. --jobs is
 accepted by kp and scan only, --table-bound only by the commands that
-take -p and -k.
+take -p and -k. scan reads --base for wieferich only and -k for note4
+only (3 when unset); either flag given to another kind exits 6.
 
 Each call is parsed once: when argv[0] names a subcommand, that
 subcommand's parser alone reads the rest, and leftovers get the
@@ -28,6 +29,9 @@ command names.
 Config precedence for table_bound/format/jobs/base:
 flags > PKCORE_* environment > key=value config file > defaults.
 The config file path comes from PKCORE_CONFIG, else ./pkcore.conf.
+table_bound and jobs must be at least 1 and base at least 2, from
+whichever source; a value below names the flag, variable or file it
+came from.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ SCHEMA_VERSION = 1
 CONFIG_KEYS = ("table_bound", "format", "jobs", "base")
 FORMATS = ("human", "jsonl", "csv")
 DEFAULTS = {"table_bound": DEFAULT_TABLE_BOUND, "format": "human", "jobs": 1, "base": 2}
+MINIMUMS = {"table_bound": 1, "jobs": 1, "base": 2}  # the integer keys
 
 
 @dataclass
@@ -99,13 +104,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if flag is not None:
             cfg[key] = flag
             origin[key] = "--" + key.replace("_", "-")
-    for key in ("table_bound", "jobs", "base"):
+    for key, least in MINIMUMS.items():
         try:
             cfg[key] = int(cfg[key])
         except ValueError:
             raise BadConfig(f"{key} = {cfg[key]!r} from {origin[key]} is not an integer") from None
-    if cfg["table_bound"] < 1:
-        raise BadConfig(f"table_bound = {cfg['table_bound']} from {origin['table_bound']} must be at least 1")
+        if cfg[key] < least:
+            raise BadConfig(f"{key} = {cfg[key]} from {origin[key]} must be at least {least}")
     if cfg["format"] not in FORMATS:
         raise BadConfig(
             f"format = {cfg['format']!r} from {origin['format']} is not one of {', '.join(FORMATS)}"
@@ -371,9 +376,14 @@ def _note4_orders_printable(hi: int, k: int) -> None:
 
 
 def cmd_scan(args, cfg) -> Report:
+    if args.base is not None and args.kind != "wieferich":
+        raise BadConfig(f"--base applies to scan wieferich only, not scan {args.kind}")
+    if args.k is not None and args.kind != "note4":
+        raise BadConfig(f"-k applies to scan note4 only, not scan {args.kind}")
     base = cfg["base"]
+    k = 3 if args.k is None else args.k
     if args.kind == "note4":
-        _note4_orders_printable(args.to, args.k)
+        _note4_orders_printable(args.to, k)
     scan = partial(
         generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=cfg["jobs"], checkpoint=args.checkpoint
     )
@@ -384,7 +394,7 @@ def cmd_scan(args, cfg) -> Report:
         pairs = scan(generators.per_prime(generators.exception_row), ident={"kind": "exceptions"})
         rows = [{"p": p, "r": r, "residual": 0, "classification": "exceptional"} for p, r in pairs]
     else:
-        rows = scan(generators.per_prime(partial(_note4_row, args.k)), ident={"kind": "note4", "k": args.k})
+        rows = scan(generators.per_prime(partial(_note4_row, k)), ident={"kind": "note4", "k": k})
     failed = any(row["classification"] == "counterexample" for row in rows)
     return Report(command="scan", rows=rows, check_failed=failed)
 
@@ -466,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=None)
     sp.add_argument("--base", type=int, default=None)
     sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("-k", type=int, default=3)
+    sp.add_argument("-k", type=int, default=None)  # note4 only; 3 when unset
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("decompose", parents=[common], help="p-th power summand witness for a residue")

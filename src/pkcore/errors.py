@@ -36,19 +36,7 @@ class Oversize(PkcoreError):
     exit_code = EXIT_OVERSIZE
 
 
-class NotAUnit(PkcoreError):
-    exit_code = EXIT_BAD_INPUT
-
-
 class OutOfRange(PkcoreError):
-    exit_code = EXIT_BAD_INPUT
-
-
-class BadDigit(PkcoreError):
-    exit_code = EXIT_BAD_INPUT
-
-
-class WrongLength(PkcoreError):
     exit_code = EXIT_BAD_INPUT
 
 

@@ -9,9 +9,8 @@ by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
 Here live the moduli and orders; the sets A_k and F_k are built in
 corefst, from its core table. A residue is a plain int in [0, p^k):
-is_core, decompose_unit, multiplicative_order and base_p_encode take
-(mod, x), reduce any int x mod p^k themselves, and the unit functions
-raise NotAUnit when p divides x. An order is read off the split:
+is_core and base_p_encode take (mod, x) and reduce any int x mod p^k
+themselves. An order is read off the split:
 the order d of r mod p (core_order, a peel of the primes of p-1 mod p)
 times the order of r^(p-1) in B_k (split_order), so a caller that
 already holds r^(p-1), such as the divisor lattice in generators, pays
@@ -30,10 +29,9 @@ pair of p^(2m) - 1 = -1 mod p. No X^(e) is built as a set: reduction
 mod p^(k-e) has kernel Y^(e) and maps A_k onto A_(k-e), so X^(e) is the
 preimage of the core of p^(k-e) (see pairsums).
 
-This module also owns the base-p text codec used by the CLI: fixed-width
-strings, most significant digit first, digits 0-9 then a-z for p <= 36,
-dot-separated decimal digit groups for larger p; base_p_decode(s, mod)
-returns the int.
+This module also owns the base-p text form the CLI renders residues in:
+fixed-width strings, most significant digit first, digits 0-9 then a-z
+for p <= 36, dot-separated decimal digit groups for larger p.
 """
 
 from __future__ import annotations
@@ -41,15 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    BadDigit,
-    BadExponent,
-    EvenPrime,
-    NotAUnit,
-    NotPrime,
-    Oversize,
-    WrongLength,
-)
+from .errors import BadExponent, EvenPrime, NotPrime, Oversize
 from .primes import factorize, is_prime
 
 DEFAULT_TABLE_BOUND = 1 << 26
@@ -151,36 +141,12 @@ def split_order(p: int, k: int, d: int, w: int) -> int:
     return d * p ** (k - j)
 
 
-def multiplicative_order(mod: PrimePowerModulus, x: int) -> int:
-    """Least t >= 1 with x^t = 1: split_order of x with one pow for x^(p-1)."""
-    x %= mod.modulus
-    if x % mod.p == 0:
-        raise NotAUnit(f"{x} is divisible by p = {mod.p}")
-    return split_order(mod.p, mod.k, core_order(mod.p, x), pow(x, mod.p - 1, mod.modulus))
-
-
 def is_core(mod: PrimePowerModulus, x: int) -> bool:
     x %= mod.modulus
     return x % mod.p != 0 and pow(x, mod.p, mod.modulus) == x
 
 
-def decompose_unit(mod: PrimePowerModulus, x: int) -> tuple[int, int]:
-    """Split a unit into (core part, extension part).
-
-    The core part is the unique element of A_k congruent to x mod p,
-    computed as x^(p^(k-1) * u) with u the inverse of p^(k-1) mod p-1;
-    the extension part is the 1-mod-p cofactor.
-    """
-    x %= mod.modulus
-    if x % mod.p == 0:
-        raise NotAUnit(f"{x} is divisible by p = {mod.p}")
-    q = mod.p ** (mod.k - 1)
-    u = pow(q, -1, mod.p - 1)
-    core = pow(x, q * u, mod.modulus)
-    return core, x * pow(core, -1, mod.modulus) % mod.modulus
-
-
-# --- base-p codec ------------------------------------------------------
+# --- base-p text --------------------------------------------------------
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _LETTER_CAP = 36  # 0-9 and a-z cover digit values 0..35
@@ -198,29 +164,3 @@ def base_p_encode(mod: PrimePowerModulus, x: int) -> str:
     if p <= _LETTER_CAP:
         return "".join(_DIGITS[d] for d in digits)
     return ".".join(str(d) for d in digits)
-
-
-def base_p_decode(s: str, mod: PrimePowerModulus) -> int:
-    p, k = mod.p, mod.k
-    if p <= _LETTER_CAP:
-        if len(s) > k:
-            raise WrongLength(f"{s!r} has more than k = {k} digits")
-        value = 0
-        for ch in s:
-            d = _DIGITS.find(ch)
-            if d < 0 or d >= p:
-                raise BadDigit(f"{ch!r} is not a base-{p} digit")
-            value = value * p + d
-        return value
-    parts = s.split(".") if s else []
-    if len(parts) > k:
-        raise WrongLength(f"{s!r} has more than k = {k} digit groups")
-    value = 0
-    for part in parts:
-        if not part.isdigit():
-            raise BadDigit(f"{part!r} is not a decimal digit group")
-        d = int(part)
-        if d >= p:
-            raise BadDigit(f"digit group {d} is not below p = {p}")
-        value = value * p + d
-    return value

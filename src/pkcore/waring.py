@@ -54,7 +54,6 @@ __all__ = [
     "sumset_levels",
     "verify_multiples_of_p",
     "h_triple_coresum",
-    "translation_class",
     "decompose_residue",
 ]
 
@@ -305,12 +304,3 @@ def h_triple_coresum(p: int) -> TripleWitness:
         if c:
             return TripleWitness(m=c // p, triple=(r, p - 1 - r, 1), coresum=c, degenerate_h=r != h)
     raise NoTripleFound(f"no (r, s, 1) triple with nonzero coresum for p = {p}")
-
-
-def translation_class(mod: PrimePowerModulus, i: int) -> set[int]:
-    """N_i: all residues congruent to i mod p. N_0 is the multiples of p,
-    N_1 coincides with the extension group B_k as a set."""
-    if not 0 <= i < mod.p:
-        raise OutOfRange(f"need 0 <= i < p, got {i}")
-    mod.require_tables()
-    return set(range(i, mod.modulus, mod.p))

@@ -37,6 +37,12 @@ def naive_order(a: int, m: int) -> int:
     return sympy.n_order(a, m)
 
 
+def naive_base_p_decode(s: str, p: int) -> int:
+    """The int a base_p_encode string stands for: digits 0-9a-z, or dot groups when p > 36."""
+    digits = [int(d) for d in s.split(".")] if p > 36 else [int(ch, 36) for ch in s]
+    return sum(d * p**i for i, d in enumerate(reversed(digits)))
+
+
 def naive_pairsums(values: set[int], m: int) -> set[int]:
     return {(a + b) % m for a, b in itertools.combinations_with_replacement(values, 2)}
 

@@ -15,7 +15,6 @@ import pytest
 from pkcore import corefst, waring
 from pkcore.cli import Report, main, parse_jsonl, render_human, render_jsonl
 from pkcore.errors import CheckFailure
-from pkcore.modring import base_p_decode, make_modulus
 from pkcore.primes import primes_in_range
 
 GRID = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3)]  # the acceptance grid
@@ -37,9 +36,8 @@ def test_core_golden_row(capsys):
 def test_core_5_2_rows(capsys):
     code, out, _ = run(capsys, "core", "-p", "5", "-k", "2")
     assert code == 0
-    mod = make_modulus(5, 2)
     cores = {
-        base_p_decode(line.split()[1], mod)
+        oracles.naive_base_p_decode(line.split()[1], 5)
         for line in out.splitlines()
         if line[:1].isdigit()
     }
@@ -525,6 +523,60 @@ def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
     conf.unlink()
     code, out, err = run(capsys, "core", "-p", "5", "-k", "2", "--table-bound", "-1")
     assert code == 6 and out == "" and "--table-bound" in err and "exceeds" not in err, err
+
+
+def test_config_minimums_name_their_source(tmp_path, monkeypatch, capsys):
+    # each integer key has a minimum, checked whichever of flag, variable or file set it
+    conf = tmp_path / "pk.conf"
+    monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
+    commands = {
+        "table_bound": ("core", "-p", "5", "-k", "2"),
+        "jobs": ("kp", "--to", "20"),
+        "base": ("scan", "wieferich", "--to", "50"),
+    }
+    for key, least in {"table_bound": 1, "jobs": 1, "base": 2}.items():
+        env, flag = f"PKCORE_{key.upper()}", "--" + key.replace("_", "-")
+        for value in (least - 1, least):
+            rejected = f"{key} = {value} from {{}} must be at least {least}"
+            code, out, err = run(capsys, *commands[key], flag, str(value))
+            assert (code == 6 and out == "" and rejected.format(flag) in err) == (value < least), (key, value, err)
+            monkeypatch.setenv(env, str(value))
+            code, _, err = run(capsys, *commands[key])
+            assert (code == 6 and rejected.format(env) in err) == (value < least), (key, value, err)
+            monkeypatch.delenv(env)
+            conf.write_text(f"{key}={value}\n")
+            monkeypatch.setenv("PKCORE_CONFIG", str(conf))
+            code, _, err = run(capsys, *commands[key])
+            assert (code == 6 and rejected.format(f"config file {conf}") in err) == (value < least), (key, value, err)
+            monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
+
+
+def test_scan_refuses_flags_its_kind_does_not_read(tmp_path, monkeypatch, capsys):
+    for argv, flag in (
+        (("scan", "exceptions", "--to", "50", "--base", "3"), "--base"),
+        (("scan", "note4", "--to", "50", "--base", "3"), "--base"),
+        (("scan", "wieferich", "--to", "50", "-k", "9"), "-k"),
+        (("scan", "exceptions", "--to", "50", "-k", "3"), "-k"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 6 and out == "" and f"error: {flag} applies to scan" in err, (argv, err)
+    # a base from the environment or the config file is a global default, not an error
+    conf = tmp_path / "pk.conf"
+    conf.write_text("base=3\n")
+    monkeypatch.setenv("PKCORE_CONFIG", str(conf))
+    assert run(capsys, "scan", "exceptions", "--to", "50")[0] == 0
+    monkeypatch.setenv("PKCORE_BASE", "5")
+    assert run(capsys, "scan", "note4", "--to", "50")[0] == 0
+
+
+def test_scan_note4_k_defaults_to_3(tmp_path, capsys):
+    code, bare, _ = run(capsys, "scan", "note4", "--to", "60", "--format", "jsonl")
+    _, three, _ = run(capsys, "scan", "note4", "--to", "60", "-k", "3", "--format", "jsonl")
+    assert code == 0 and bare.count("\n") > 1 and bare == three
+    # so a checkpoint written without -k is resumed by -k 3
+    cp = str(tmp_path / "note4.ckpt")
+    run(capsys, "scan", "note4", "--to", "60", "--checkpoint", cp)
+    assert run(capsys, "scan", "note4", "--to", "90", "-k", "3", "--checkpoint", cp)[0] == 0
 
 
 def test_increments_huge_i_is_clamped(capsys):

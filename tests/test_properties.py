@@ -3,14 +3,8 @@ from hypothesis import strategies as st
 
 import oracles
 from pkcore.corefst import core_by_recurrence, fst_carry, recurrence_step_identity
-from pkcore.modring import (
-    base_p_decode,
-    base_p_encode,
-    decompose_unit,
-    is_core,
-    make_modulus,
-    multiplicative_order,
-)
+from pkcore.corefst import build_core_table
+from pkcore.modring import base_p_encode, core_order, is_core, make_modulus, split_order
 from pkcore.primes import primes_in_range
 
 SMALL_PRIMES = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -20,7 +14,7 @@ SMALL_PRIMES = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_codec_round_trip(p, k, seed):
     mod = make_modulus(p, k, arithmetic_only=True)
     x = seed % mod.modulus
-    assert base_p_decode(base_p_encode(mod, x), mod) == x
+    assert oracles.naive_base_p_decode(base_p_encode(mod, x), p) == x
 
 
 @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 10**9))
@@ -64,12 +58,14 @@ def test_core_factor_is_idempotent_part(p, k, seed):
     x = seed % mod.modulus
     if x % p == 0:
         x += 1
-    core, ext = decompose_unit(mod, x)
+    table = build_core_table(mod)
+    core = table.core[x % p - 1]
+    ext = x * pow(core, -1, mod.modulus) % mod.modulus
     assert core * ext % mod.modulus == x % mod.modulus
     assert is_core(mod, core)
     assert pow(ext, p ** (k - 1), mod.modulus) == 1
-    # the split is unique: re-splitting a core element is a fixed point
-    assert decompose_unit(mod, core) == (core, 1)
+    # the split is unique: a core element splits as (core, 1)
+    assert table.core[core % p - 1] == core
 
 
 @given(SMALL_PRIMES, st.integers(0, 10**6), st.integers(0, 10**6))
@@ -87,4 +83,4 @@ def test_multiplicative_order_matches_sympy(p, k, seed):
     x = seed % mod.modulus
     if x % p == 0:
         x += 1
-    assert multiplicative_order(mod, x) == oracles.naive_order(x, mod.modulus)
+    assert split_order(p, k, core_order(p, x), pow(x, p - 1, mod.modulus)) == oracles.naive_order(x, mod.modulus)

@@ -15,7 +15,6 @@ from pkcore.waring import (
     decompose_residue,
     h_triple_coresum,
     sumset_levels,
-    translation_class,
     verify_multiples_of_p,
 )
 
@@ -183,17 +182,6 @@ def test_h_triple_rejects_composites():
         h_triple_coresum(2)
     with pytest.raises(OutOfRange):
         h_triple_coresum(3)
-
-
-def test_translation_classes_partition():
-    mod = make_modulus(5, 2)
-    seen = set()
-    for i in range(5):
-        cls = translation_class(mod, i)
-        assert len(cls) == 5
-        assert all(x % 5 == i for x in cls)
-        seen |= cls
-    assert seen == set(range(25))
 
 
 def test_reports_match_bitset_oracle():

@@ -1,8 +1,9 @@
-"""One sha256 over the stdout and exit code of a fixed set of CLI calls.
+"""One sha256 over the stdout, stderr and exit code of a fixed set of CLI calls.
 
 Run as `PYTHONPATH=<tree>/src python tools/cli_digest.py` against two
-trees: equal digests mean every call below printed the same bytes and
-exited with the same code. Stderr is left out (it holds `elapsed:`).
+trees: equal digests mean every call below printed the same bytes to
+both streams and exited with the same code. The `elapsed:` line, the
+one line that differs from run to run, is dropped from stderr.
 Calls run in-process through pkcore.cli.main, in a scratch directory
 with no PKCORE_* variables, so no config file or environment applies.
 """
@@ -23,22 +24,23 @@ CALLS += [["scan", "wieferich", "--to", "4000"], ["scan", "exceptions", "--to", 
 CALLS += [["core", "-p", "3", "-k", "40"], ["waring", "-p", "9", "-k", "2"]]  # oversize, not prime
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects bad flags this way
             code = exc.code
-    return code, out.getvalue()
+    err_lines = err.getvalue().splitlines(True)
+    return code, out.getvalue(), "".join(line for line in err_lines if not line.startswith("elapsed: "))
 
 
 def digest() -> str:
     h = hashlib.sha256()
     for fmt in ("human", "jsonl", "csv"):
         for argv in CALLS:
-            code, out = run(argv + ["--format", fmt])
-            h.update(f"{argv} {fmt} {code}\n{out}\n".encode())
+            code, out, err = run(argv + ["--format", fmt])
+            h.update(f"{argv} {fmt} {code}\n{out}\n{err}\n".encode())
     return h.hexdigest()
 
 
