@@ -28,7 +28,8 @@ command names.
 
 Config precedence for table_bound/format/jobs/base:
 flags > PKCORE_* environment > key=value config file > defaults.
-The config file path comes from PKCORE_CONFIG, else ./pkcore.conf.
+The config file path comes from PKCORE_CONFIG, else ./pkcore.conf; a
+path that exists but cannot be read as text is bad config (exit 6).
 table_bound and jobs must be at least 1 and base at least 2, from
 whichever source; a value below names the flag, variable or file it
 came from.
@@ -83,17 +84,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     origin = dict.fromkeys(CONFIG_KEYS, "default")
     path = os.environ.get("PKCORE_CONFIG") or "pkcore.conf"
-    if os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in CONFIG_KEYS:
-                    cfg[key] = value.strip()
-                    origin[key] = f"config file {path}"
+    if os.path.exists(path):  # a missing file is no config file; an unreadable one is bad input
+        try:
+            with open(path) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#") or "=" not in line:
+                        continue
+                    key, _, value = line.partition("=")
+                    key = key.strip()
+                    if key in CONFIG_KEYS:
+                        cfg[key] = value.strip()
+                        origin[key] = f"config file {path}"
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BadConfig(f"config file {path} cannot be read: {exc}") from None
     for key in CONFIG_KEYS:
         env = os.environ.get(f"PKCORE_{key.upper()}")
         if env is not None:
@@ -154,7 +158,7 @@ def _fmt_value(command: str, key: str, value, mod) -> str:
 def render_human(report: Report) -> str:
     mod = None
     if report.p is not None and report.k is not None:
-        mod = make_modulus(report.p, report.k, arithmetic_only=True)
+        mod = make_modulus(report.p, report.k, table_bound=None)
     lines = [f"# {report.command}" + (f" p={report.p}" if report.p else "") + (f" k={report.k}" if report.k else "")]
     if not report.rows:
         lines.append("(no rows)")

@@ -8,9 +8,10 @@ and G_k sit the core extensions X^(e) = A_k * Y^(e) with Y^(e) generated
 by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
 Here live the moduli and orders; the sets A_k and F_k are built in
-corefst, from its core table. A residue is a plain int in [0, p^k):
-is_core and base_p_encode take (mod, x) and reduce any int x mod p^k
-themselves. An order is read off the split:
+corefst, from its core table. The table bound is one check on (p, k),
+made in make_modulus; a descriptor holds no size state. A residue is a
+plain int in [0, p^k): is_core and base_p_encode take (mod, x) and
+reduce any int x mod p^k themselves. An order is read off the split:
 the order d of r mod p (core_order, a peel of the primes of p-1 mod p)
 times the order of r^(p-1) in B_k (split_order), so a caller that
 already holds r^(p-1), such as the divisor lattice in generators, pays
@@ -53,36 +54,24 @@ class PrimePowerModulus:
     k: int
     modulus: int
     units_order: int
-    tables_enabled: bool = True
 
     @property
     def pth_power_order(self) -> int:
         """|F_k|: (p-1)*p^(k-2) for k >= 2, and p-1 at k = 1."""
         return self.units_order // self.p if self.k >= 2 else self.units_order
 
-    def require_tables(self) -> None:
-        if not self.tables_enabled:
-            raise Oversize(
-                f"p^k = {self.p}^{self.k} exceeds the table bound; "
-                "this descriptor is arithmetic-only"
-            )
-
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"PrimePowerModulus(p={self.p}, k={self.k})"
 
 
-def make_modulus(
-    p: int,
-    k: int,
-    table_bound: int = DEFAULT_TABLE_BOUND,
-    arithmetic_only: bool = False,
-) -> PrimePowerModulus:
+def make_modulus(p: int, k: int, table_bound: int | None = DEFAULT_TABLE_BOUND) -> PrimePowerModulus:
     """Validate (p, k) and build the descriptor.
 
-    Set-returning operations need p^k <= table_bound; pass
-    arithmetic_only=True to construct an oversize descriptor whose
-    table operations are disabled rather than failing here. A table
-    request fails before p^k is computed when k alone rules it out.
+    The table bound is the one size check: (p, k) with p^k > table_bound
+    is refused here, before p^k is computed when k alone rules it out,
+    and table_bound=None admits any p^k. The descriptor carries no size
+    state, so two descriptors of one modulus are equal whatever bound
+    admitted them, and share their cached tables.
     """
     if p == 2:
         raise EvenPrime("p = 2 is not supported (unit group not cyclic for k >= 3)")
@@ -91,19 +80,9 @@ def make_modulus(
     if k < 1:
         raise BadExponent(f"precision exponent k must be >= 1, got {k}")
     # p >= 3, so p^k > 2^k > table_bound once k reaches the bound's bit length
-    tables = k < table_bound.bit_length() and p ** k <= table_bound
-    if not tables and not arithmetic_only:
-        raise Oversize(
-            f"p^k = {p}^{k} exceeds table bound {table_bound}; "
-            "raise --table-bound or request an arithmetic-only descriptor"
-        )
-    return PrimePowerModulus(
-        p=p,
-        k=k,
-        modulus=p ** k,
-        units_order=(p - 1) * p ** (k - 1),
-        tables_enabled=tables,
-    )
+    if table_bound is not None and not (k < table_bound.bit_length() and p ** k <= table_bound):
+        raise Oversize(f"p^k = {p}^{k} exceeds table bound {table_bound}; raise --table-bound")
+    return PrimePowerModulus(p=p, k=k, modulus=p ** k, units_order=(p - 1) * p ** (k - 1))
 
 
 @lru_cache(maxsize=1024)

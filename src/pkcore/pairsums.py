@@ -127,11 +127,10 @@ def extension_pairsum_check(mod: PrimePowerModulus, e: int) -> ExtensionPairsumV
     a in A_j, with {d^(p-1) : d in D_j} mod p^j, and each count is
     |X^(e)| = (p-1)*p^e times its number of labels.
     """
-    mod.require_tables()
     if not 0 <= e <= mod.k - 1:
         raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
     p = mod.p
-    table = build_core_table(make_modulus(p, mod.k - e, arithmetic_only=True))
+    table = build_core_table(make_modulus(p, mod.k - e, table_bound=None))
     m = table.mod.modulus
     labels = {pow(1 + a, p - 1, m) for a in table.core if (1 + a) % p}
     gens = {pow(d, p - 1, m) for d in table.distinct_increments}

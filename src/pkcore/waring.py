@@ -122,7 +122,9 @@ class CoverageReport:
 
     @cached_property
     def masks(self) -> dict[int, int]:
-        """Level t -> bitset over [0, p^k) of F+t: S_t tiled out, on first read."""
+        """Level t -> bitset over [0, p^k) of F+t: S_t tiled out, on first read.
+        O(p^k) bits: above the table bound only a table_bound=None descriptor
+        reaches it, and no CLI command, scan or perfbench call makes one."""
         q, m = self.sums.q, self.mod.modulus
         return {t: _tile(level, q, m) for t, level in enumerate(self.sums.levels, start=1)}
 
@@ -131,15 +133,10 @@ class CoverageReport:
         return {i for i, c in enumerate(bits) if c == "1"}
 
 
-def _require_sumset_cell(mod: PrimePowerModulus) -> None:
-    mod.require_tables()
-    if mod.k < 2:
-        raise OutOfRange("sumset analysis needs k >= 2")
-
-
 def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
     """Levels F, F+2, ..., F+max_t and the coverage verdicts, all read at q."""
-    _require_sumset_cell(mod)
+    if mod.k < 2:
+        raise OutOfRange("sumset analysis needs k >= 2")
     if max_t < 4:
         raise OutOfRange("max_t below 4 cannot decide the coverage theorem")
     m = mod.modulus
@@ -199,7 +196,6 @@ def decompose_residue(mod: PrimePowerModulus, x: int, t: int) -> tuple[int, ...]
     element of F that leaves a remainder in the level below, so the
     witness is always the same. Raises NoTripleFound if x is not in F+t.
     """
-    mod.require_tables()
     if t < 1:
         raise OutOfRange(f"need at least one summand, got t = {t}")
     m = mod.modulus
@@ -233,9 +229,12 @@ def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
     two summands are searched once per class mod q, and every summand of
     every witness is checked to lie in F. The uncovered multiples, when
     any, are nonzero multiples of p^2 and are verified to be two-summand
-    sums instead.
+    sums instead. It walks all p^(k-1) multiples of p: above the table
+    bound only a table_bound=None descriptor reaches it, and no CLI
+    command, scan or perfbench call makes one.
     """
-    _require_sumset_cell(mod)
+    if mod.k < 2:
+        raise OutOfRange("sumset analysis needs k >= 2")
     m, p = mod.modulus, mod.p
     small = reduced_sumsets(mod, 3)
     q, _, levels = small
@@ -290,7 +289,7 @@ def h_triple_coresum(p: int) -> TripleWitness:
     r = (p-1)/3 (when 3 | p-1) and r = 1..h follow, and the first r with
     c != 0 is returned, degenerate_h set.
     """
-    make_modulus(p, 1, arithmetic_only=True)  # validates p
+    make_modulus(p, 1, table_bound=None)  # validates p
     if p < 5:
         raise OutOfRange("needs p >= 5")
     pp = p * p

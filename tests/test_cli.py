@@ -114,6 +114,18 @@ def test_tables_come_from_the_power_sieve_alone(monkeypatch, capsys):
     assert run(capsys, "kp", "--from", "73", "--to", "73")[0] == 0
 
 
+def test_one_core_table_per_modulus_at_a_raised_bound(capsys):
+    # 8209^2 is above the default bound: every internal descriptor of p^2
+    # must still equal the one the raised bound admitted, and share its table
+    corefst._core_table.cache_clear()
+    waring._level_cache.cache_clear()
+    pk = ["-p", "8209", "-k", "2", "--table-bound", "70000000"]
+    for argv in (["core", *pk], ["pairsums", *pk], ["decompose", *pk, "1", "--max-t", "1"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert corefst._core_table.cache_info().currsize == 1
+    waring._level_cache.cache_clear()  # drop the 2^26-bit level
+
+
 def test_pairsums_computes_kp_once(monkeypatch, capsys):
     calls = []
     real = corefst.critical_precision
@@ -523,6 +535,16 @@ def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
     conf.unlink()
     code, out, err = run(capsys, "core", "-p", "5", "-k", "2", "--table-bound", "-1")
     assert code == 6 and out == "" and "--table-bound" in err and "exceeds" not in err, err
+
+
+def test_unreadable_config_file_is_bad_config(tmp_path, monkeypatch, capsys):
+    # a path that exists but cannot be read as text exits 6 with its path, not 7
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"\xff\n")
+    for path in (tmp_path, binary):
+        monkeypatch.setenv("PKCORE_CONFIG", str(path))
+        code, out, err = run(capsys, "core", "-p", "5", "-k", "2")
+        assert code == 6 and out == "" and str(path) in err and "internal error" not in err, (path, err)
 
 
 def test_config_minimums_name_their_source(tmp_path, monkeypatch, capsys):

@@ -20,25 +20,21 @@ def test_make_modulus_validation():
         make_modulus(5, 0)
     with pytest.raises(Oversize):
         make_modulus(11, 8)
-    mod = make_modulus(11, 8, arithmetic_only=True)
-    assert mod.modulus == 11**8 and not mod.tables_enabled
-    with pytest.raises(Oversize):
-        mod.require_tables()
+    assert make_modulus(11, 8, table_bound=None).modulus == 11**8
 
 
 def test_oversize_named_by_p_and_k_not_by_value():
     # exactly at the bound is allowed, one step past it is not
-    assert make_modulus(3, 5, table_bound=3**5).tables_enabled
+    assert make_modulus(3, 5, table_bound=3**5).modulus == 3**5
     for p, k, bound in [(3, 5, 3**5 - 1), (3, 17, 1 << 26), (3, 5000, 1 << 26), (5, 2, 8)]:
         with pytest.raises(Oversize) as exc:
             make_modulus(p, k, table_bound=bound)
         assert f"{p}^{k}" in str(exc.value) and str(bound) in str(exc.value)
         assert str(p**k) not in str(exc.value)
-    # arithmetic-only descriptors still carry p^k; their refusal names p and k
-    mod = make_modulus(3, 5000, arithmetic_only=True)
-    assert mod.modulus == 3**5000 and not mod.tables_enabled
+    # an unbounded descriptor still carries p^k; the refusal names p and k, not p^k
+    assert make_modulus(3, 5000, table_bound=None).modulus == 3**5000
     with pytest.raises(Oversize) as exc:
-        mod.require_tables()
+        make_modulus(3, 5000)
     assert "3^5000" in str(exc.value) and len(str(exc.value)) < 100
 
 
@@ -130,7 +126,7 @@ def test_multiplicative_order_vs_sympy():
     for _ in range(150):
         p = rng.choice([3, 5, 7, 11, 13, 17])
         k = rng.randint(1, 3)
-        mod = make_modulus(p, k, arithmetic_only=True)
+        mod = make_modulus(p, k, table_bound=None)
         x = rng.randint(1, mod.modulus - 1)
         if x % p == 0:
             continue
@@ -179,7 +175,7 @@ def test_codec_golden():
 
 
 def test_codec_large_base_dot_form():
-    mod = make_modulus(41, 2, arithmetic_only=True)
+    mod = make_modulus(41, 2, table_bound=None)
     assert base_p_encode(mod, 3 * 41 + 7) == "3.7"
     assert oracles.naive_base_p_decode("3.7", 41) == 130
 
@@ -189,6 +185,6 @@ def test_codec_roundtrip_random():
     for _ in range(300):
         p = rng.choice([3, 5, 7, 11, 13, 31, 37, 41])
         k = rng.randint(1, 5)
-        mod = make_modulus(p, k, arithmetic_only=True)
+        mod = make_modulus(p, k, table_bound=None)
         x = rng.randint(0, mod.modulus - 1)
         assert oracles.naive_base_p_decode(base_p_encode(mod, x), p) == x

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from pkcore.corefst import build_core_table, core_members, critical_precision, pth_power_members
-from pkcore.errors import BadExponent, Oversize
+from pkcore.errors import BadExponent
 from pkcore.modring import make_modulus
 from pkcore.pairsums import (
     core_pairsum_count,
@@ -143,5 +143,7 @@ def test_extension_level_range():
     for e in (-1, 3):
         with pytest.raises(BadExponent):
             extension_pairsum_check(mod, e)
-    with pytest.raises(Oversize):
-        extension_pairsum_check(make_modulus(11, 8, arithmetic_only=True), 1)
+    # above the table bound the check still answers: X^(1) mod 11^8 is the preimage of A mod 11^7
+    big = extension_pairsum_check(make_modulus(11, 8, table_bound=None), 1)
+    base = extension_pairsum_check(make_modulus(11, 7), 0)
+    assert big.passed and big.unit_sum_count == 11 * base.unit_sum_count

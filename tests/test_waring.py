@@ -236,6 +236,21 @@ def test_sumset_input_validation():
         decompose_residue(make_modulus(7, 3), 14, 0)
 
 
+def test_unbounded_descriptor_answers():
+    # 11^8 is above the default bound; table_bound=None lifts it, and every
+    # answer below is read at p^2 or off the core table of p^8
+    big, small = make_modulus(11, 8, table_bound=None), make_modulus(11, 3)
+    assert corefst.core_members(big) == {pow(n, 11**7, 11**8) for n in range(1, 11)}
+    levels, ref = sumset_levels(big), sumset_levels(small)
+    assert levels.counts == {t: 11**5 * c for t, c in ref.counts.items()}
+    verdicts = ("theorem_holds", "n0_covered_by3", "conjecture_f3_in_f4", "disjoint_f3_f4")
+    assert [getattr(levels, v) for v in verdicts] == [getattr(ref, v) for v in verdicts]
+    for x in (0, 1, 11, 121, 11**7, 123456789, 11**8 - 1):
+        summands = decompose_residue(big, x, 4)
+        assert sum(summands) % big.modulus == x
+        assert all(pow(s, big.pth_power_order, big.modulus) == 1 for s in summands), x
+
+
 @lru_cache(maxsize=None)
 def _oracle_levels(p, k):
     return oracles.bitset_levels(p, k, 4)

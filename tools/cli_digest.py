@@ -1,9 +1,12 @@
-"""One sha256 over the stdout, stderr and exit code of a fixed set of CLI calls.
+"""Two sha256 digests over a fixed set of CLI calls, printed on one line.
 
-Run as `PYTHONPATH=<tree>/src python tools/cli_digest.py` against two
-trees: equal digests mean every call below printed the same bytes to
-both streams and exited with the same code. The `elapsed:` line, the
-one line that differs from run to run, is dropped from stderr.
+`outputs` hashes each call's argv, format, exit code and stdout; `full`
+adds its stderr. Run as `PYTHONPATH=<tree>/src python tools/cli_digest.py`
+against two trees: equal `outputs` mean every call below printed the
+same bytes to stdout and exited with the same code, and equal `full`
+mean its error text matched too, so a change that only rewords an error
+keeps `outputs` and changes `full`. The `elapsed:` line, the one line
+that differs from run to run, is dropped from stderr.
 Calls run in-process through pkcore.cli.main, in a scratch directory
 with no PKCORE_* variables, so no config file or environment applies.
 """
@@ -35,13 +38,14 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), "".join(line for line in err_lines if not line.startswith("elapsed: "))
 
 
-def digest() -> str:
-    h = hashlib.sha256()
+def digests() -> tuple[str, str]:
+    outputs, full = hashlib.sha256(), hashlib.sha256()
     for fmt in ("human", "jsonl", "csv"):
         for argv in CALLS:
             code, out, err = run(argv + ["--format", fmt])
-            h.update(f"{argv} {fmt} {code}\n{out}\n{err}\n".encode())
-    return h.hexdigest()
+            outputs.update(f"{argv} {fmt} {code}\n{out}\n".encode())
+            full.update(f"{argv} {fmt} {code}\n{out}\n{err}\n".encode())
+    return outputs.hexdigest(), full.hexdigest()
 
 
 if __name__ == "__main__":
@@ -49,4 +53,5 @@ if __name__ == "__main__":
         del os.environ[key]
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
-        print(f"{len(CALLS) * 3} calls  sha256 {digest()}")
+        outputs, full = digests()
+        print(f"{len(CALLS) * 3} calls  outputs sha256 {outputs}  full sha256 {full}")
