@@ -15,9 +15,13 @@ row and raises ValueError otherwise, so a miss is never silent.
 kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
 --checkpoint for scans): the Wieferich scan through its batched block
 kernel, kp, exceptions and note4 through per-prime rows. --jobs is
-accepted by kp and scan only, --table-bound only by the commands that
-take -p and -k. scan reads --base for wieferich only and -k for note4
-only (3 when unset); either flag given to another kind exits 6.
+accepted by kp and scan only. scan reads --base for wieferich only and
+-k for note4 only (3 when unset); either flag given to another kind
+exits 6.
+
+cell_modulus refuses a -p/-k cell before any work (nothing of size p^k
+is built) past k*bitlen(p) > MAX_RESIDUE_BITS, p^min(k, 2) >
+MAX_LEVEL_BITS (exit 4) or the int-to-str digit limit (exit 6).
 
 Each call is parsed once: when argv[0] names a subcommand, that
 subcommand's parser alone reads the rest, and leftovers get the
@@ -26,13 +30,12 @@ argv, -h/--help, an unknown command, an option first) goes through the
 top-level parser, which stays the one source of help, usage and
 command names.
 
-Config precedence for table_bound/format/jobs/base:
+Config precedence for format/jobs/base:
 flags > PKCORE_* environment > key=value config file > defaults.
 The config file path comes from PKCORE_CONFIG, else ./pkcore.conf; a
 path that exists but cannot be read as text is bad config (exit 6).
-table_bound and jobs must be at least 1 and base at least 2, from
-whichever source; a value below names the flag, variable or file it
-came from.
+jobs must be at least 1 and base at least 2, from whichever source; a
+value below names the flag, variable or file it came from.
 """
 
 from __future__ import annotations
@@ -55,17 +58,20 @@ from .errors import (
     BadConfig,
     CheckFailure,
     OutOfRange,
+    Oversize,
     PkcoreError,
 )
-from .modring import DEFAULT_TABLE_BOUND, base_p_encode, make_modulus
+from .modring import PrimePowerModulus, base_p_encode, make_modulus
 from .modring import _DIGITS as DIGIT_CHARS
 
 SCHEMA_VERSION = 1
 
-CONFIG_KEYS = ("table_bound", "format", "jobs", "base")
+CONFIG_KEYS = ("format", "jobs", "base")
 FORMATS = ("human", "jsonl", "csv")
-DEFAULTS = {"table_bound": DEFAULT_TABLE_BOUND, "format": "human", "jobs": 1, "base": 2}
-MINIMUMS = {"table_bound": 1, "jobs": 1, "base": 2}  # the integer keys
+DEFAULTS = {"format": "human", "jobs": 1, "base": 2}
+MINIMUMS = {"jobs": 1, "base": 2}  # the integer keys
+MAX_RESIDUE_BITS = 4096  # k*bitlen(p): the bits of a residue powered or printed
+MAX_LEVEL_BITS = 1 << 26  # p^min(k, 2): the bits of a sumset level; per-n tables hold p - 1
 
 
 @dataclass
@@ -156,9 +162,7 @@ def _fmt_value(command: str, key: str, value, mod) -> str:
 
 
 def render_human(report: Report) -> str:
-    mod = None
-    if report.p is not None and report.k is not None:
-        mod = make_modulus(report.p, report.k, table_bound=None)
+    mod = make_modulus(report.p, report.k) if report.p is not None and report.k is not None else None
     lines = [f"# {report.command}" + (f" p={report.p}" if report.p else "") + (f" k={report.k}" if report.k else "")]
     if not report.rows:
         lines.append("(no rows)")
@@ -245,8 +249,34 @@ def emit(report: Report, fmt: str) -> None:
 # --- commands -----------------------------------------------------------
 
 
+def _check_printable(scale: int, base: int, k: int, what: str) -> None:
+    """Refuse (exit 6, message opened by what) output holding integers up to
+    scale*base^(k-1), base/2 <= scale <= base, past the int-to-str limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # that integer is within a factor 2 of base^k: it fits below limit - 1 digits, cannot
+    # past limit + 1, and in between it has at most limit + 2 digits and is cheap to build
+    if not limit or base < 2 or k < (limit - 1) / math.log10(base):
+        return
+    if k > (limit + 1) / math.log10(base) or scale * base ** (k - 1) >= 10 ** limit:
+        raise OutOfRange(f"{what} have more than {limit} digits, the integer output limit")
+
+
+def cell_modulus(p: int, k: int) -> PrimePowerModulus:
+    """The descriptor of a -p/-k cell, or its refusal before any work, from ints
+    only (never p^k); a bad p is reported first. Every printed integer is <= p^k."""
+    bits = k * p.bit_length()
+    if bits <= MAX_RESIDUE_BITS and (k < 1 or p ** min(k, 2) <= MAX_LEVEL_BITS):
+        mod = make_modulus(p, k)
+        _check_printable(p, p, k, f"p^k = {p}^{k} is too large: integers up to p^k")
+        return mod
+    make_modulus(p, 1)  # validates p
+    if bits > MAX_RESIDUE_BITS:
+        raise Oversize(f"p^k = {p}^{k} is too large: residues of k*bitlen(p) = {bits} bits, over {MAX_RESIDUE_BITS}")
+    raise Oversize(f"p^k = {p}^{k} is too large: a sumset level of p^min(k, 2) bits, over {MAX_LEVEL_BITS}")
+
+
 def cmd_core(args, cfg) -> Report:
-    mod = make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
+    mod = cell_modulus(args.p, args.k)
     table = corefst.build_core_table(mod)
     rows = [
         {
@@ -261,7 +291,7 @@ def cmd_core(args, cfg) -> Report:
 
 
 def cmd_increments(args, cfg) -> Report:
-    make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
+    cell_modulus(args.p, args.k)
     vals = corefst.integer_increments(args.p, args.i, args.k)
     rows = [{"n": n, "i": args.i, "value": v} for n, v in enumerate(vals, start=1)]
     return Report(command="increments", rows=rows, p=args.p, k=args.k)
@@ -281,7 +311,7 @@ def cmd_kp(args, cfg) -> Report:
 
 
 def cmd_pairsums(args, cfg) -> Report:
-    mod = make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
+    mod = cell_modulus(args.p, args.k)
     kp = corefst.critical_precision(args.p).kp
     observed, predicted = pairsums.core_pairsum_count(mod, kp=kp)
     core_row = {
@@ -313,7 +343,7 @@ def cmd_pairsums(args, cfg) -> Report:
 
 
 def cmd_waring(args, cfg) -> Report:
-    mod = make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
+    mod = cell_modulus(args.p, args.k)
     report = waring.sumset_levels(mod, 4)
     rows = [
         {
@@ -361,24 +391,6 @@ def _note4_row(k: int, p: int) -> dict:
             "minus_one_in_cycle": best.minus_one_in_cycle}
 
 
-def _note4_orders_printable(hi: int, k: int) -> None:
-    """Refuse a -k whose orders could not be printed: note4 reports orders
-    mod p^k up to (p-1)*p^(k-1), so (hi-1)*hi^(k-1) bounds them for p <= hi,
-    and int-to-str conversion stops at sys.get_int_max_str_digits() digits
-    (0 means no limit; Pythons before 3.10.7 have none). Checked before
-    the scan, not at render time."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or hi < 2 or k < 1:
-        return
-    # (hi-1)*hi^(k-1) >= hi^k / 2, so past the first test it has over limit
-    # digits; otherwise it has at most limit + 2 and is cheap to build
-    if k * math.log10(hi) > limit + 1 or (hi - 1) * hi ** (k - 1) >= 10 ** limit:
-        raise OutOfRange(
-            f"-k {k} is too large for --to {hi}: orders up to {hi - 1}*{hi}^{k - 1} "
-            f"have more than {limit} digits, the integer output limit"
-        )
-
-
 def cmd_scan(args, cfg) -> Report:
     if args.base is not None and args.kind != "wieferich":
         raise BadConfig(f"--base applies to scan wieferich only, not scan {args.kind}")
@@ -386,8 +398,9 @@ def cmd_scan(args, cfg) -> Report:
         raise BadConfig(f"-k applies to scan note4 only, not scan {args.kind}")
     base = cfg["base"]
     k = 3 if args.k is None else args.k
-    if args.kind == "note4":
-        _note4_orders_printable(args.to, k)
+    if args.kind == "note4":  # orders mod p^k reach (p-1)*p^(k-1), p <= --to
+        hi = args.to
+        _check_printable(hi - 1, hi, k, f"-k {k} is too large for --to {hi}: orders up to {hi - 1}*{hi}^{k - 1}")
     scan = partial(
         generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=cfg["jobs"], checkpoint=args.checkpoint
     )
@@ -404,22 +417,13 @@ def cmd_scan(args, cfg) -> Report:
 
 
 def cmd_decompose(args, cfg) -> Report:
-    mod = make_modulus(args.p, args.k, table_bound=cfg["table_bound"])
+    mod = cell_modulus(args.p, args.k)
     x = args.residue % mod.modulus
     if args.max_t < 1:
         raise OutOfRange(f"need at least one summand, got --max-t {args.max_t}")
-    for t in range(1, args.max_t + 1):  # lazy in t: no level above the answer is built
-        sums = waring.reduced_sumsets(mod, t)
-        if sums.levels[-1] >> (x % sums.q) & 1:
-            rows = [{"residue": x, "level": t, "summands": list(waring.decompose_residue(mod, x, t))}]
-            return Report(command="decompose", rows=rows, p=args.p, k=args.k)
-    return Report(
-        command="decompose",
-        rows=[{"residue": x, "level": 0, "summands": []}],
-        p=args.p,
-        k=args.k,
-        check_failed=True,
-    )
+    summands = waring.least_decomposition(mod, x, args.max_t) or ()
+    rows = [{"residue": x, "level": len(summands), "summands": list(summands)}]
+    return Report(command="decompose", rows=rows, p=args.p, k=args.k, check_failed=not summands)
 
 
 # --- parser / main ------------------------------------------------------
@@ -441,10 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common_pk(sp):  # the commands that build tables mod p^k
+    def common_pk(sp):  # the commands on one cell (p, k), checked by cell_modulus
         sp.add_argument("-p", type=int, required=True)
         sp.add_argument("-k", type=int, required=True)
-        sp.add_argument("--table-bound", dest="table_bound", type=int, default=None)
 
     sp = sub.add_parser("core", parents=[common], help="core table: values, carries, increments")
     common_pk(sp)

@@ -151,14 +151,13 @@ def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
     elements. At k = 1, n^p = n mod p makes every unit a p-th power.
     A_q is the core of q, read off its core table (1..p-1 at k = 1).
     """
-    mod = make_modulus(p, min(k, 2), table_bound=None)
+    mod = make_modulus(p, min(k, 2))
     return mod.modulus, tuple(sorted(build_core_table(mod).core))
 
 
 def pth_power_members(mod: PrimePowerModulus) -> set[int]:
-    """F_k, the p-th powers of units. Equals X^(k-2) for k >= 2. O(p^k):
-    above the table bound only a table_bound=None descriptor reaches it,
-    and no CLI command, scan or perfbench call makes one."""
+    """F_k, the p-th powers of units. Equals X^(k-2) for k >= 2. Builds
+    all (p-1)*p^(k-2) members: O(p^k) time and memory."""
     q, base = pth_power_base(mod.p, mod.k)
     return {a + j for j in range(0, mod.modulus, q) for a in base}
 
@@ -186,7 +185,7 @@ def critical_precision(p: int) -> CriticalPrecisionResult:
     values are distinct; every level k <= K then reads the same residues
     the exact integers would give, since (x mod p^K) mod p^k = x mod p^k.
     """
-    make_modulus(p, 1, table_bound=None)  # validates p
+    make_modulus(p, 1)  # validates p
     h = (p - 1) // 2
     top = min(4, p)
     while True:
@@ -223,7 +222,7 @@ def integer_increments(p: int, i: int, k: int) -> list[int]:
     and p^(k-1) >= k for p >= 3. Both hold at i' (at k = 1 every i >= 1
     gives n and 0), so any i costs what i' does.
     """
-    make_modulus(p, 1, table_bound=None)  # validates p
+    make_modulus(p, 1)  # validates p
     if i < 1:
         raise OutOfRange(f"need i >= 1, got {i}")
     if k < 1:

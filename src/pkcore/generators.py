@@ -185,7 +185,7 @@ def audit_power_divisors(p: int, m_exp: int, assert_non_core: bool = True) -> li
     """
     if m_exp < 1:
         raise OutOfRange("need m >= 1")
-    make_modulus(p, 3, table_bound=None)  # validates p
+    make_modulus(p, 3)  # validates p
     p3 = p ** 3
     audits = _audits(p, p ** (2 * m_exp) - 1, _p2m_minus_1_factorization(p, m_exp))
     if assert_non_core:
@@ -348,7 +348,7 @@ def corollary_check(p: int) -> bool:
     if p in (2, 3):
         raise OutOfRange("needs p >= 5 so that 2 and 3 are units")
     for k in (3, 4):
-        mod = make_modulus(p, k, table_bound=None)
+        mod = make_modulus(p, k)
         cores = build_core_table(mod).core[:8]
         for n in (2, 3):
             inv = pow(n, -1, mod.modulus)
@@ -391,7 +391,7 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
     even; that element is g^(t/2), so it is -1. The divisors and their
     orders come off the lattices of p-1 and p+1 (module docstring).
     """
-    mod = make_modulus(p, k, table_bound=None)
+    mod = make_modulus(p, k)
     m, full = mod.modulus, mod.units_order
     powers = dict(_divisor_powers(p, factorize(p - 1), m) + _divisor_powers(p, factorize(p + 1), m))
     verdicts = []
@@ -418,7 +418,7 @@ def generator_lift(p: int, g: int) -> dict[int, bool]:
     is split_order's d * ord(w mod p^k)."""
     if g >= p or g % p == 0:
         raise OutOfRange("need g < p coprime to p")
-    make_modulus(p, 1, table_bound=None)  # validates p
+    make_modulus(p, 1)  # validates p
     d, w = core_order(p, g), pow(g, p - 1, p ** 4)
     out = {k: split_order(p, k, d, w % p ** k) == (p - 1) * p ** (k - 1) for k in (2, 3, 4)}
     return out if out[2] else {}

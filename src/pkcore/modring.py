@@ -8,8 +8,8 @@ and G_k sit the core extensions X^(e) = A_k * Y^(e) with Y^(e) generated
 by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
 Here live the moduli and orders; the sets A_k and F_k are built in
-corefst, from its core table. The table bound is one check on (p, k),
-made in make_modulus; a descriptor holds no size state. A residue is a
+corefst, from its core table. make_modulus builds a descriptor at any
+size; the CLI's size check on (p, k) is cli.cell_modulus. A residue is a
 plain int in [0, p^k): is_core and base_p_encode take (mod, x) and
 reduce any int x mod p^k themselves. An order is read off the split:
 the order d of r mod p (core_order, a peel of the primes of p-1 mod p)
@@ -40,10 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadExponent, EvenPrime, NotPrime, Oversize
+from .errors import BadExponent, EvenPrime, NotPrime
 from .primes import factorize, is_prime
-
-DEFAULT_TABLE_BOUND = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -64,24 +62,15 @@ class PrimePowerModulus:
         return f"PrimePowerModulus(p={self.p}, k={self.k})"
 
 
-def make_modulus(p: int, k: int, table_bound: int | None = DEFAULT_TABLE_BOUND) -> PrimePowerModulus:
-    """Validate (p, k) and build the descriptor.
-
-    The table bound is the one size check: (p, k) with p^k > table_bound
-    is refused here, before p^k is computed when k alone rules it out,
-    and table_bound=None admits any p^k. The descriptor carries no size
-    state, so two descriptors of one modulus are equal whatever bound
-    admitted them, and share their cached tables.
-    """
+def make_modulus(p: int, k: int) -> PrimePowerModulus:
+    """Validate (p, k) and build the descriptor, at any size. Two descriptors
+    of one modulus are equal, and share their cached tables."""
     if p == 2:
         raise EvenPrime("p = 2 is not supported (unit group not cyclic for k >= 3)")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise BadExponent(f"precision exponent k must be >= 1, got {k}")
-    # p >= 3, so p^k > 2^k > table_bound once k reaches the bound's bit length
-    if table_bound is not None and not (k < table_bound.bit_length() and p ** k <= table_bound):
-        raise Oversize(f"p^k = {p}^{k} exceeds table bound {table_bound}; raise --table-bound")
     return PrimePowerModulus(p=p, k=k, modulus=p ** k, units_order=(p - 1) * p ** (k - 1))
 
 

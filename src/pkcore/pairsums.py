@@ -130,7 +130,7 @@ def extension_pairsum_check(mod: PrimePowerModulus, e: int) -> ExtensionPairsumV
     if not 0 <= e <= mod.k - 1:
         raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
     p = mod.p
-    table = build_core_table(make_modulus(p, mod.k - e, table_bound=None))
+    table = build_core_table(make_modulus(p, mod.k - e))
     m = table.mod.modulus
     labels = {pow(1 + a, p - 1, m) for a in table.core if (1 + a) % p}
     gens = {pow(d, p - 1, m) for d in table.distinct_increments}

@@ -55,6 +55,7 @@ __all__ = [
     "verify_multiples_of_p",
     "h_triple_coresum",
     "decompose_residue",
+    "least_decomposition",
 ]
 
 
@@ -91,12 +92,11 @@ def reduced_sumsets(mod: PrimePowerModulus, max_t: int) -> ReducedSumsets:
     if len(levels) == 1 < max_t:
         pairs = ((a + b) % q for i, a in enumerate(base) for b in base[i:])
         levels.append(_bitset(pairs, q))
-    full = (1 << q) - 1
     while len(levels) < max_t:
         level, shifted = levels[-1], 0
         for a in base:
             shifted |= (level << a) | (level >> (q - a))
-        levels.append(shifted & full)
+        levels.append(shifted & ((1 << q) - 1))
     return ReducedSumsets(q, base, tuple(levels[:max_t]))
 
 
@@ -123,8 +123,7 @@ class CoverageReport:
     @cached_property
     def masks(self) -> dict[int, int]:
         """Level t -> bitset over [0, p^k) of F+t: S_t tiled out, on first read.
-        O(p^k) bits: above the table bound only a table_bound=None descriptor
-        reaches it, and no CLI command, scan or perfbench call makes one."""
+        O(p^k) bits per level."""
         q, m = self.sums.q, self.mod.modulus
         return {t: _tile(level, q, m) for t, level in enumerate(self.sums.levels, start=1)}
 
@@ -211,6 +210,16 @@ def decompose_residue(mod: PrimePowerModulus, x: int, t: int) -> tuple[int, ...]
     return prefix + (last,)
 
 
+def least_decomposition(mod: PrimePowerModulus, x: int, max_t: int) -> tuple[int, ...] | None:
+    """decompose_residue's witness of x at the least t <= max_t with x in F+t,
+    else None. Lazy in t: no level above the answer is built."""
+    for t in range(1, max_t + 1):
+        sums = reduced_sumsets(mod, t)
+        if sums.levels[-1] >> (x % sums.q) & 1:
+            return decompose_residue(mod, x, t)
+    return None
+
+
 @dataclass(frozen=True)
 class MultiplesReport:
     mod: PrimePowerModulus
@@ -229,9 +238,8 @@ def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
     two summands are searched once per class mod q, and every summand of
     every witness is checked to lie in F. The uncovered multiples, when
     any, are nonzero multiples of p^2 and are verified to be two-summand
-    sums instead. It walks all p^(k-1) multiples of p: above the table
-    bound only a table_bound=None descriptor reaches it, and no CLI
-    command, scan or perfbench call makes one.
+    sums instead. It walks all p^(k-1) multiples of p: O(p^(k-1)) time,
+    and memory for as many witnesses.
     """
     if mod.k < 2:
         raise OutOfRange("sumset analysis needs k >= 2")
@@ -289,7 +297,7 @@ def h_triple_coresum(p: int) -> TripleWitness:
     r = (p-1)/3 (when 3 | p-1) and r = 1..h follow, and the first r with
     c != 0 is returned, degenerate_h set.
     """
-    make_modulus(p, 1, table_bound=None)  # validates p
+    make_modulus(p, 1)  # validates p
     if p < 5:
         raise OutOfRange("needs p >= 5")
     pp = p * p

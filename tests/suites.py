@@ -28,7 +28,7 @@ def suite_core_symmetries(cases: int = 600) -> tuple[int, int]:
     for _ in range(cases):
         p = rng.choice(SMALL_PRIMES)
         k = rng.randint(1, 4)
-        mod = make_modulus(p, k, table_bound=None)
+        mod = make_modulus(p, k)
         n = rng.randint(1, p - 1)
         an = corefst.core_by_recurrence(p, n, k)
         am = corefst.core_by_recurrence(p, p - n, k)
@@ -153,7 +153,7 @@ def suite_codec_roundtrip(cases: int = 600) -> tuple[int, int]:
     for _ in range(cases):
         p = rng.choice([q for q in SMALL_PRIMES if q <= 31])
         k = rng.randint(1, 6)
-        mod = make_modulus(p, k, table_bound=None)
+        mod = make_modulus(p, k)
         x = rng.randint(0, mod.modulus - 1)
         text = base_p_encode(mod, x)
         failures += oracles.naive_base_p_decode(text, p) != x

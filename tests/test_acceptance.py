@@ -37,7 +37,7 @@ def _line(n: int, ok: bool, detail: str) -> bool:
 
 
 def enc(x, p, k):
-    return base_p_encode(make_modulus(p, k, table_bound=None), x)
+    return base_p_encode(make_modulus(p, k), x)
 
 
 def test_criterion_1_critical_precision():

@@ -13,8 +13,8 @@ import pkcore.cli
 import pkcore.pairsums
 import pytest
 from pkcore import corefst, waring
-from pkcore.cli import Report, main, parse_jsonl, render_human, render_jsonl
-from pkcore.errors import CheckFailure
+from pkcore.cli import FORMATS, Report, cell_modulus, main, parse_jsonl, render_human, render_jsonl
+from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange, Oversize
 from pkcore.primes import primes_in_range
 
 GRID = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3)]  # the acceptance grid
@@ -114,18 +114,6 @@ def test_tables_come_from_the_power_sieve_alone(monkeypatch, capsys):
     assert run(capsys, "kp", "--from", "73", "--to", "73")[0] == 0
 
 
-def test_one_core_table_per_modulus_at_a_raised_bound(capsys):
-    # 8209^2 is above the default bound: every internal descriptor of p^2
-    # must still equal the one the raised bound admitted, and share its table
-    corefst._core_table.cache_clear()
-    waring._level_cache.cache_clear()
-    pk = ["-p", "8209", "-k", "2", "--table-bound", "70000000"]
-    for argv in (["core", *pk], ["pairsums", *pk], ["decompose", *pk, "1", "--max-t", "1"]):
-        assert run(capsys, *argv)[0] == 0, argv
-    assert corefst._core_table.cache_info().currsize == 1
-    waring._level_cache.cache_clear()  # drop the 2^26-bit level
-
-
 def test_pairsums_computes_kp_once(monkeypatch, capsys):
     calls = []
     real = corefst.critical_precision
@@ -168,10 +156,10 @@ def test_known_command_parsed_once(monkeypatch, capsys):
 
 VALID_ARGV = [
     ["core", "-p", "5", "-k", "2"],
-    ["core", "-p", "5", "-k", "2", "--format", "csv", "--table-bound", "100"],
+    ["core", "-p", "5", "-k", "2", "--format", "csv"],
     ["increments", "-p", "11", "-k", "3", "--i", "2", "--format=jsonl"],
     ["kp", "--from", "5", "--to", "50", "--jobs", "2"],
-    ["pairsums", "-p", "7", "-k", "3", "--table-bound", "1000"],
+    ["pairsums", "-p", "7", "-k", "3"],
     ["waring", "--format", "human", "-p", "3", "-k", "4"],
     ["divisors", "-p", "11"],
     ["scan", "wieferich", "--to", "100", "--base", "3", "--jobs", "2", "--checkpoint", "ck.jsonl"],
@@ -227,7 +215,7 @@ def test_oversize_rejected_before_computing_pk(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "core", "-p", "3", "-k", "1000000000")
     assert time.perf_counter() - start < 1.0
-    assert code == 4 and out == "" and "3^1000000000" in err and "table-bound" in err
+    assert code == 4 and out == "" and "3^1000000000" in err and "k*bitlen(p)" in err and "4096" in err
     code, _, err = run(capsys, "waring", "-p", "3", "-k", "5000")
     assert code == 4 and "3^5000" in err and len(err) < 200, err
 
@@ -238,8 +226,103 @@ def test_not_prime_exit(capsys):
 
 
 def test_oversize_exit_with_guidance(capsys):
-    code, _, err = run(capsys, "waring", "-p", "11", "-k", "8")
-    assert code == 4 and "table-bound" in err
+    # each refusal names p^k as p and k, and the limit it broke
+    code, _, err = run(capsys, "waring", "-p", "8209", "-k", "2")
+    assert code == 4 and "8209^2" in err and "p^min(k, 2)" in err and str(1 << 26) in err, err
+    code, _, err = run(capsys, "core", "-p", "5", "-k", "1366")
+    assert code == 4 and "5^1366" in err and "k*bitlen(p)" in err and "4096" in err, err
+
+
+def test_cell_guard_admits_every_cell_of_at_most_2_26():
+    for p in primes_in_range(3, 199):
+        k = 1
+        while p**k <= 1 << 26:
+            assert cell_modulus(p, k).modulus == p**k, (p, k)
+            k += 1
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_cell_guard_edges():
+    for p, k in [(8191, 2), (5, 1365), (3, 40), (11, 8)]:
+        assert cell_modulus(p, k).modulus == p**k, (p, k)
+    for p, k, limit in [(8209, 2, str(1 << 26)), (5, 1366, "4096"), (3, 10**9, "4096")]:
+        with pytest.raises(Oversize) as exc:
+            cell_modulus(p, k)
+        message = str(exc.value)
+        assert f"p^k = {p}^{k}" in message and limit in message and len(message) < 200, message
+        assert k != 2 or str(p**k) not in message  # larger values cannot fit in 200 characters
+    # a p that is not an odd prime is reported first, at any size
+    for p, k, error in [(4, 10**9, NotPrime), (2, 10**9, EvenPrime), (9, 2, NotPrime)]:
+        with pytest.raises(error):
+            cell_modulus(p, k)
+    # every printed integer is at most p^k: 5^915 has 640 digits, 5^916 has 641
+    with int_max_str_digits(640):
+        assert cell_modulus(5, 915).modulus == 5**915
+        with pytest.raises(OutOfRange) as exc:
+            cell_modulus(5, 916)
+        assert "5^916" in str(exc.value) and "640 digits" in str(exc.value)
+
+
+def test_cell_refuses_unprintable_integers(capsys):
+    # 5^1365 has 955 digits: refused before any work, not an internal error at render time
+    with int_max_str_digits(640):
+        for fmt in FORMATS:
+            code, out, err = run(capsys, "core", "-p", "5", "-k", "1365", "--format", fmt)
+            assert code in (4, 6) and out == "" and "internal error" not in err, (fmt, err)
+
+
+def test_note4_k_past_float_range_is_bad_input(capsys):
+    # the digit check compares k, an int, with a float: a k no float can hold is refused
+    code, out, err = run(capsys, "scan", "note4", "--to", "20", "-k", "1" + "0" * 400)
+    assert code == 6 and out == "" and "-k 1000" in err and "internal error" not in err, err
+
+
+def test_large_k_cells_answer_fast(capsys):
+    for argv in (["pairsums"], ["decompose", "12345"], ["waring"]):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv[0], "-p", "5", "-k", "1000", *argv[1:], "--format", "jsonl")
+        assert time.perf_counter() - start < 1.0 and code == 0, argv
+        witnesses = [row for row in map(json.loads, out.splitlines()) if "summands" in row]
+        assert all(sum(row["summands"]) % 5**1000 == row["residue"] for row in witnesses), argv
+        assert witnesses or argv[0] == "pairsums"
+
+
+def test_waring_11_8_scales_11_3(capsys):
+    summary = {}
+    for k in (3, 8):
+        code, out, _ = run(capsys, "waring", "-p", "11", "-k", str(k), "--format", "jsonl")
+        assert code == 0
+        summary[k] = json.loads(out.splitlines()[0])
+    assert summary[8]["counts"] == {t: 11**5 * c for t, c in summary[3]["counts"].items()}
+    for verdict in ("theorem_holds", "n0_covered_by3", "conjecture_f3_in_f4", "disjoint_f3_f4"):
+        assert summary[8][verdict] == summary[3][verdict], verdict
+
+
+def test_table_bound_option_is_gone(tmp_path, monkeypatch, capsys):
+    for argv in (["core"], ["increments"], ["pairsums"], ["waring"], ["decompose", "1"]):
+        with pytest.raises(SystemExit) as e:
+            main([argv[0], "-p", "5", "-k", "2", *argv[1:], "--table-bound", "100"])
+        assert e.value.code == 6 and "unrecognized arguments: --table-bound 100" in capsys.readouterr().err, argv
+    # the old variable and config key are ignored, like any unknown key
+    conf = tmp_path / "pk.conf"
+    conf.write_text("table_bound=1\n")
+    for variable, path in (("1", tmp_path / "absent.conf"), (None, conf), ("1", conf)):
+        if variable is None:
+            monkeypatch.delenv("PKCORE_TABLE_BOUND", raising=False)
+        else:
+            monkeypatch.setenv("PKCORE_TABLE_BOUND", variable)
+        monkeypatch.setenv("PKCORE_CONFIG", str(path))
+        code, out, err = run(capsys, "core", "-p", "5", "-k", "2")
+        assert code == 0 and out and "error" not in err, (variable, path, err)
 
 
 def test_bad_format_exit():
@@ -487,19 +570,18 @@ def test_flags_scoped_to_their_commands(capsys):
 
 def test_config_precedence(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "pk.conf"
-    conf.write_text("table_bound=1000\n")
+    conf.write_text("format=csv\n")
     monkeypatch.setenv("PKCORE_CONFIG", str(conf))
-    # config file bound rejects 11^3
-    code, _, _ = run(capsys, "waring", "-p", "11", "-k", "3")
-    assert code == 4
+    # config file format applies
+    code, out, _ = run(capsys, "waring", "-p", "11", "-k", "3")
+    assert code == 0 and out.startswith("p,k,counts,")
     # env overrides file
-    monkeypatch.setenv("PKCORE_TABLE_BOUND", "2000")
-    code, _, _ = run(capsys, "waring", "-p", "11", "-k", "3")
-    assert code == 0
+    monkeypatch.setenv("PKCORE_FORMAT", "jsonl")
+    code, out, _ = run(capsys, "waring", "-p", "11", "-k", "3")
+    assert code == 0 and json.loads(out.splitlines()[0])["p"] == 11
     # flag overrides env
-    monkeypatch.setenv("PKCORE_TABLE_BOUND", "1000")
-    code, _, _ = run(capsys, "waring", "-p", "11", "-k", "3", "--table-bound", "2000")
-    assert code == 0
+    code, out, _ = run(capsys, "waring", "-p", "11", "-k", "3", "--format", "human")
+    assert code == 0 and out.startswith("# waring p=11 k=3")
 
 
 def test_divisors_command(capsys):
@@ -519,7 +601,7 @@ def test_waring_3_16_under_default_bound(capsys):
 
 def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
-    bad = [("JOBS", "abc"), ("TABLE_BOUND", "1e6"), ("TABLE_BOUND", "0"), ("BASE", "two"), ("FORMAT", "xml")]
+    bad = [("JOBS", "abc"), ("BASE", "two"), ("FORMAT", "xml")]
     for key, value in bad:
         monkeypatch.setenv(f"PKCORE_{key}", value)
         code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
@@ -527,14 +609,10 @@ def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(f"PKCORE_{key}")
     conf = tmp_path / "pk.conf"
     monkeypatch.setenv("PKCORE_CONFIG", str(conf))
-    for line in ("table_bound=big", "table_bound=0", "jobs=2.5", "base=", "format=xml"):
+    for line in ("jobs=2.5", "base=", "format=xml"):
         conf.write_text(line + "\n")
         code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
         assert code == 6 and line.split("=")[0] in err and str(conf) in err, (line, err)
-    # a bound below 1 is bad config naming its origin, not an oversize modulus (exit 4)
-    conf.unlink()
-    code, out, err = run(capsys, "core", "-p", "5", "-k", "2", "--table-bound", "-1")
-    assert code == 6 and out == "" and "--table-bound" in err and "exceeds" not in err, err
 
 
 def test_unreadable_config_file_is_bad_config(tmp_path, monkeypatch, capsys):
@@ -552,11 +630,10 @@ def test_config_minimums_name_their_source(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "pk.conf"
     monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
     commands = {
-        "table_bound": ("core", "-p", "5", "-k", "2"),
         "jobs": ("kp", "--to", "20"),
         "base": ("scan", "wieferich", "--to", "50"),
     }
-    for key, least in {"table_bound": 1, "jobs": 1, "base": 2}.items():
+    for key, least in {"jobs": 1, "base": 2}.items():
         env, flag = f"PKCORE_{key.upper()}", "--" + key.replace("_", "-")
         for value in (least - 1, least):
             rejected = f"{key} = {value} from {{}} must be at least {least}"

@@ -22,7 +22,7 @@ from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
 
 
 def enc(x, p, k):
-    return base_p_encode(make_modulus(p, k, table_bound=None), x)
+    return base_p_encode(make_modulus(p, k), x)
 
 
 def test_fst_carry_golden():
@@ -99,7 +99,7 @@ def test_distinct_increments_match_naive():
         ladders = {}
         for k in (1, 2, 3, 4):
             m = p**k
-            table = build_core_table(make_modulus(p, k, table_bound=None))
+            table = build_core_table(make_modulus(p, k))
             ladders[k] = [0] + [core_by_recurrence(p, n, k) for n in range(1, p)] + [0]
             assert table.core == tuple(ladders[k][1:p]) and table.carries == carries, (p, k)
             assert table.increments == tuple((b - a) % m for a, b in zip(ladders[k], ladders[k][1:])), (p, k)

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from pkcore.corefst import build_core_table, core_members, pth_power_members
-from pkcore.errors import BadExponent, EvenPrime, NotPrime, Oversize
+from pkcore.errors import BadExponent, EvenPrime, NotPrime
 from pkcore.modring import base_p_encode, core_order, is_core, make_modulus, split_order
 from pkcore.primes import primes_in_range
 
@@ -18,24 +18,14 @@ def test_make_modulus_validation():
         make_modulus(2, 3)
     with pytest.raises(BadExponent):
         make_modulus(5, 0)
-    with pytest.raises(Oversize):
-        make_modulus(11, 8)
-    assert make_modulus(11, 8, table_bound=None).modulus == 11**8
+    assert make_modulus(11, 8).modulus == 11**8
 
 
 def test_oversize_named_by_p_and_k_not_by_value():
-    # exactly at the bound is allowed, one step past it is not
-    assert make_modulus(3, 5, table_bound=3**5).modulus == 3**5
-    for p, k, bound in [(3, 5, 3**5 - 1), (3, 17, 1 << 26), (3, 5000, 1 << 26), (5, 2, 8)]:
-        with pytest.raises(Oversize) as exc:
-            make_modulus(p, k, table_bound=bound)
-        assert f"{p}^{k}" in str(exc.value) and str(bound) in str(exc.value)
-        assert str(p**k) not in str(exc.value)
-    # an unbounded descriptor still carries p^k; the refusal names p and k, not p^k
-    assert make_modulus(3, 5000, table_bound=None).modulus == 3**5000
-    with pytest.raises(Oversize) as exc:
-        make_modulus(3, 5000)
-    assert "3^5000" in str(exc.value) and len(str(exc.value)) < 100
+    # make_modulus builds a descriptor at any size; the size refusal, which
+    # names p and k and never p^k, is the CLI's (test_cli.py::test_cell_guard_edges)
+    for p, k in [(3, 5), (3, 17), (3, 5000), (5, 2), (8209, 2)]:
+        assert make_modulus(p, k).modulus == p**k
 
 
 def test_orders():
@@ -126,7 +116,7 @@ def test_multiplicative_order_vs_sympy():
     for _ in range(150):
         p = rng.choice([3, 5, 7, 11, 13, 17])
         k = rng.randint(1, 3)
-        mod = make_modulus(p, k, table_bound=None)
+        mod = make_modulus(p, k)
         x = rng.randint(1, mod.modulus - 1)
         if x % p == 0:
             continue
@@ -175,7 +165,7 @@ def test_codec_golden():
 
 
 def test_codec_large_base_dot_form():
-    mod = make_modulus(41, 2, table_bound=None)
+    mod = make_modulus(41, 2)
     assert base_p_encode(mod, 3 * 41 + 7) == "3.7"
     assert oracles.naive_base_p_decode("3.7", 41) == 130
 
@@ -185,6 +175,6 @@ def test_codec_roundtrip_random():
     for _ in range(300):
         p = rng.choice([3, 5, 7, 11, 13, 31, 37, 41])
         k = rng.randint(1, 5)
-        mod = make_modulus(p, k, table_bound=None)
+        mod = make_modulus(p, k)
         x = rng.randint(0, mod.modulus - 1)
         assert oracles.naive_base_p_decode(base_p_encode(mod, x), p) == x

@@ -143,7 +143,7 @@ def test_extension_level_range():
     for e in (-1, 3):
         with pytest.raises(BadExponent):
             extension_pairsum_check(mod, e)
-    # above the table bound the check still answers: X^(1) mod 11^8 is the preimage of A mod 11^7
-    big = extension_pairsum_check(make_modulus(11, 8, table_bound=None), 1)
+    # X^(1) mod 11^8 is the preimage of A mod 11^7: the check reads the smaller core table
+    big = extension_pairsum_check(make_modulus(11, 8), 1)
     base = extension_pairsum_check(make_modulus(11, 7), 0)
     assert big.passed and big.unit_sum_count == 11 * base.unit_sum_count

@@ -12,14 +12,14 @@ SMALL_PRIMES = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 
 @given(SMALL_PRIMES, st.integers(1, 5), st.integers(0, 10**9))
 def test_codec_round_trip(p, k, seed):
-    mod = make_modulus(p, k, table_bound=None)
+    mod = make_modulus(p, k)
     x = seed % mod.modulus
     assert oracles.naive_base_p_decode(base_p_encode(mod, x), p) == x
 
 
 @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 10**9))
 def test_lagrange(p, k, seed):
-    mod = make_modulus(p, k, table_bound=None)
+    mod = make_modulus(p, k)
     x = seed % mod.modulus
     if x % p == 0:
         x += 1
@@ -79,7 +79,7 @@ def test_translation_classes_add(p, a, b):
 @settings(deadline=None)
 @given(st.sampled_from(primes_in_range(3, 200)), st.integers(1, 5), st.integers(1, 10**12))
 def test_multiplicative_order_matches_sympy(p, k, seed):
-    mod = make_modulus(p, k, table_bound=None)
+    mod = make_modulus(p, k)
     x = seed % mod.modulus
     if x % p == 0:
         x += 1

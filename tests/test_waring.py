@@ -237,9 +237,9 @@ def test_sumset_input_validation():
 
 
 def test_unbounded_descriptor_answers():
-    # 11^8 is above the default bound; table_bound=None lifts it, and every
-    # answer below is read at p^2 or off the core table of p^8
-    big, small = make_modulus(11, 8, table_bound=None), make_modulus(11, 3)
+    # any p^k is admitted; every answer below is read at p^2 or off the
+    # core table of p^8
+    big, small = make_modulus(11, 8), make_modulus(11, 3)
     assert corefst.core_members(big) == {pow(n, 11**7, 11**8) for n in range(1, 11)}
     levels, ref = sumset_levels(big), sumset_levels(small)
     assert levels.counts == {t: 11**5 * c for t, c in ref.counts.items()}

@@ -9,6 +9,11 @@ keeps `outputs` and changes `full`. The `elapsed:` line, the one line
 that differs from run to run, is dropped from stderr.
 Calls run in-process through pkcore.cli.main, in a scratch directory
 with no PKCORE_* variables, so no config file or environment applies.
+
+The last two lines of CALLS probe the -p/-k size guard (cli.cell_modulus):
+`waring -p 8209 -k 2` is refused by the sumset-level limit and `core -p
+5 -k 1366` by the residue-bit limit, both exit 4, while `core -p 3 -k 40`
+and `pairsums -p 5 -k 1000` are admitted. `waring -p 9 -k 2` is not prime.
 """
 
 import contextlib
@@ -24,7 +29,8 @@ CALLS = [[cmd, "-p", str(p), "-k", str(k)] for p, k in CELLS for cmd in ("core",
 CALLS += [["decompose", "-p", str(p), "-k", str(k), str(x)] for p, k in CELLS for x in (0, 1, p, -5, p * p - 1)]
 CALLS += [["divisors", "-p", "11"], ["divisors", "-p", "73"], ["kp", "--to", "120"]]
 CALLS += [["scan", "wieferich", "--to", "4000"], ["scan", "exceptions", "--to", "120"], ["scan", "note4", "--to", "40"]]
-CALLS += [["core", "-p", "3", "-k", "40"], ["waring", "-p", "9", "-k", "2"]]  # oversize, not prime
+CALLS += [["core", "-p", "3", "-k", "40"], ["waring", "-p", "9", "-k", "2"]]
+CALLS += [["waring", "-p", "8209", "-k", "2"], ["core", "-p", "5", "-k", "1366"], ["pairsums", "-p", "5", "-k", "1000"]]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
