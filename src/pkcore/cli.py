@@ -14,10 +14,10 @@ row and raises ValueError otherwise, so a miss is never silent.
 
 kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
 --checkpoint for scans): the Wieferich scan through its batched block
-kernel, kp, exceptions and note4 through per-prime rows. --jobs is
-accepted by kp and scan only. scan reads --base for wieferich only and
--k for note4 only (3 when unset); either flag given to another kind
-exits 6.
+kernel, kp, exceptions and note4 through per-prime rows. Each scan kind
+has its own parser, so a flag is accepted only where it is read: --jobs
+by kp and the scans, --base by scan wieferich and -k by scan note4.
+Anywhere else it is an "unrecognized arguments" error (exit 6).
 
 cell_modulus refuses a -p/-k cell before any work (nothing of size p^k
 is built) past k*bitlen(p) > MAX_RESIDUE_BITS, p^min(k, 2) >
@@ -30,12 +30,10 @@ argv, -h/--help, an unknown command, an option first) goes through the
 top-level parser, which stays the one source of help, usage and
 command names.
 
-Config precedence for format/jobs/base:
-flags > PKCORE_* environment > key=value config file > defaults.
-The config file path comes from PKCORE_CONFIG, else ./pkcore.conf; a
-path that exists but cannot be read as text is bad config (exit 6).
-jobs must be at least 1 and base at least 2, from whichever source; a
-value below names the flag, variable or file it came from.
+Every setting comes from argv: its flag, else the flag's default
+(--format human, --jobs 1, --base 2, note4's -k 3). No environment
+variable or file is read. A --jobs below 1 or a --base below 2 is
+refused by the library before any work (exit 6).
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -55,7 +52,6 @@ from .errors import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
     EXIT_OK,
-    BadConfig,
     CheckFailure,
     OutOfRange,
     Oversize,
@@ -66,10 +62,7 @@ from .modring import _DIGITS as DIGIT_CHARS
 
 SCHEMA_VERSION = 1
 
-CONFIG_KEYS = ("format", "jobs", "base")
 FORMATS = ("human", "jsonl", "csv")
-DEFAULTS = {"format": "human", "jobs": 1, "base": 2}
-MINIMUMS = {"jobs": 1, "base": 2}  # the integer keys
 MAX_RESIDUE_BITS = 4096  # k*bitlen(p): the bits of a residue powered or printed
 MAX_LEVEL_BITS = 1 << 26  # p^min(k, 2): the bits of a sumset level; per-n tables hold p - 1
 
@@ -81,51 +74,6 @@ class Report:
     p: int | None = None
     k: int | None = None
     check_failed: bool = False
-
-
-# --- config ------------------------------------------------------------
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    origin = dict.fromkeys(CONFIG_KEYS, "default")
-    path = os.environ.get("PKCORE_CONFIG") or "pkcore.conf"
-    if os.path.exists(path):  # a missing file is no config file; an unreadable one is bad input
-        try:
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#") or "=" not in line:
-                        continue
-                    key, _, value = line.partition("=")
-                    key = key.strip()
-                    if key in CONFIG_KEYS:
-                        cfg[key] = value.strip()
-                        origin[key] = f"config file {path}"
-        except (OSError, UnicodeDecodeError) as exc:
-            raise BadConfig(f"config file {path} cannot be read: {exc}") from None
-    for key in CONFIG_KEYS:
-        env = os.environ.get(f"PKCORE_{key.upper()}")
-        if env is not None:
-            cfg[key] = env
-            origin[key] = f"PKCORE_{key.upper()}"
-    for key in CONFIG_KEYS:  # argparse has already checked flag values
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-            origin[key] = "--" + key.replace("_", "-")
-    for key, least in MINIMUMS.items():
-        try:
-            cfg[key] = int(cfg[key])
-        except ValueError:
-            raise BadConfig(f"{key} = {cfg[key]!r} from {origin[key]} is not an integer") from None
-        if cfg[key] < least:
-            raise BadConfig(f"{key} = {cfg[key]} from {origin[key]} must be at least {least}")
-    if cfg["format"] not in FORMATS:
-        raise BadConfig(
-            f"format = {cfg['format']!r} from {origin['format']} is not one of {', '.join(FORMATS)}"
-        )
-    return cfg
 
 
 # --- rendering ----------------------------------------------------------
@@ -275,7 +223,7 @@ def cell_modulus(p: int, k: int) -> PrimePowerModulus:
     raise Oversize(f"p^k = {p}^{k} is too large: a sumset level of p^min(k, 2) bits, over {MAX_LEVEL_BITS}")
 
 
-def cmd_core(args, cfg) -> Report:
+def cmd_core(args) -> Report:
     mod = cell_modulus(args.p, args.k)
     table = corefst.build_core_table(mod)
     rows = [
@@ -290,7 +238,7 @@ def cmd_core(args, cfg) -> Report:
     return Report(command="core", rows=rows, p=mod.p, k=mod.k)
 
 
-def cmd_increments(args, cfg) -> Report:
+def cmd_increments(args) -> Report:
     cell_modulus(args.p, args.k)
     vals = corefst.integer_increments(args.p, args.i, args.k)
     rows = [{"n": n, "i": args.i, "value": v} for n, v in enumerate(vals, start=1)]
@@ -305,12 +253,12 @@ def _kp_row(p: int) -> dict:
     return {"p": p, "kp": res.kp, "profile": {str(a): b for a, b in res.distinct_counts.items()}}
 
 
-def cmd_kp(args, cfg) -> Report:
-    rows = generators.scan_primes(generators.per_prime(_kp_row), max(args.start, 3), args.to, jobs=cfg["jobs"])
+def cmd_kp(args) -> Report:
+    rows = generators.scan_primes(generators.per_prime(_kp_row), max(args.start, 3), args.to, jobs=args.jobs)
     return Report(command="kp", rows=rows, check_failed=any("warning" in row for row in rows))
 
 
-def cmd_pairsums(args, cfg) -> Report:
+def cmd_pairsums(args) -> Report:
     mod = cell_modulus(args.p, args.k)
     kp = corefst.critical_precision(args.p).kp
     observed, predicted = pairsums.core_pairsum_count(mod, kp=kp)
@@ -342,7 +290,7 @@ def cmd_pairsums(args, cfg) -> Report:
     )
 
 
-def cmd_waring(args, cfg) -> Report:
+def cmd_waring(args) -> Report:
     mod = cell_modulus(args.p, args.k)
     report = waring.sumset_levels(mod, 4)
     rows = [
@@ -363,7 +311,7 @@ def cmd_waring(args, cfg) -> Report:
     )
 
 
-def cmd_divisors(args, cfg) -> Report:
+def cmd_divisors(args) -> Report:
     audits = generators.audit_divisors(args.p, assert_non_core=False)
     rows = [
         {
@@ -391,32 +339,26 @@ def _note4_row(k: int, p: int) -> dict:
             "minus_one_in_cycle": best.minus_one_in_cycle}
 
 
-def cmd_scan(args, cfg) -> Report:
-    if args.base is not None and args.kind != "wieferich":
-        raise BadConfig(f"--base applies to scan wieferich only, not scan {args.kind}")
-    if args.k is not None and args.kind != "note4":
-        raise BadConfig(f"-k applies to scan note4 only, not scan {args.kind}")
-    base = cfg["base"]
-    k = 3 if args.k is None else args.k
-    if args.kind == "note4":  # orders mod p^k reach (p-1)*p^(k-1), p <= --to
-        hi = args.to
-        _check_printable(hi - 1, hi, k, f"-k {k} is too large for --to {hi}: orders up to {hi - 1}*{hi}^{k - 1}")
+def cmd_scan(args) -> Report:
     scan = partial(
-        generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=cfg["jobs"], checkpoint=args.checkpoint
+        generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=args.jobs, checkpoint=args.checkpoint
     )
     if args.kind == "wieferich":
+        base = args.base
         hits = scan(generators.wieferich_test(base), ident={"base": base})
         rows = [{"p": p, "base": base, "residual": 0, "classification": "wieferich"} for p in hits]
     elif args.kind == "exceptions":
         pairs = scan(generators.per_prime(generators.exception_row), ident={"kind": "exceptions"})
         rows = [{"p": p, "r": r, "residual": 0, "classification": "exceptional"} for p, r in pairs]
-    else:
+    else:  # orders mod p^k reach (p-1)*p^(k-1), p <= --to
+        k, hi = args.k, args.to
+        _check_printable(hi - 1, hi, k, f"-k {k} is too large for --to {hi}: orders up to {hi - 1}*{hi}^{k - 1}")
         rows = scan(generators.per_prime(partial(_note4_row, k)), ident={"kind": "note4", "k": k})
     failed = any(row["classification"] == "counterexample" for row in rows)
     return Report(command="scan", rows=rows, check_failed=failed)
 
 
-def cmd_decompose(args, cfg) -> Report:
+def cmd_decompose(args) -> Report:
     mod = cell_modulus(args.p, args.k)
     x = args.residue % mod.modulus
     if args.max_t < 1:
@@ -442,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="structure of the unit group and p-th power sums mod p^k",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=None)
+    common.add_argument("--format", choices=FORMATS, default="human")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common_pk(sp):  # the commands on one cell (p, k), checked by cell_modulus
@@ -461,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kp", parents=[common], help="critical precision per prime")
     sp.add_argument("--from", dest="start", type=int, default=3)
     sp.add_argument("--to", type=int, default=100)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_kp)
 
     sp = sub.add_parser("pairsums", parents=[common], help="core and p-th power pairsum counts")
@@ -476,15 +418,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=int, required=True)
     sp.set_defaults(func=cmd_divisors)
 
-    sp = sub.add_parser("scan", parents=[common], help="prime scans")
-    sp.add_argument("kind", choices=("wieferich", "exceptions", "note4"))
-    sp.add_argument("--from", dest="start", type=int, default=3)
-    sp.add_argument("--to", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=None)
-    sp.add_argument("--base", type=int, default=None)
-    sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("-k", type=int, default=None)  # note4 only; 3 when unset
+    scan = _Parser(add_help=False, parents=[common])  # what every scan kind reads
+    scan.add_argument("--from", dest="start", type=int, default=3)
+    scan.add_argument("--to", type=int, required=True)
+    scan.add_argument("--jobs", type=int, default=1)
+    scan.add_argument("--checkpoint", default=None)
+    sp = sub.add_parser("scan", help="prime scans")
     sp.set_defaults(func=cmd_scan)
+    kinds = sp.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+    kind = kinds.add_parser("wieferich", parents=[scan], help="primes p with base^p = base mod p^2")
+    kind.add_argument("--base", type=int, default=2)
+    kinds.add_parser("exceptions", parents=[scan], help="divisors r of p^2-1 with r^p = r mod p^2")
+    kind = kinds.add_parser("note4", parents=[scan], help="generator survey of the divisors of p-1 and p+1")
+    kind.add_argument("-k", type=int, default=3)
 
     sp = sub.add_parser("decompose", parents=[common], help="p-th power summand witness for a residue")
     common_pk(sp)
@@ -518,11 +464,10 @@ def _parse_argv(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_argv(argv)
     try:
-        cfg = resolve_config(args)
         t0 = time.perf_counter()
-        report: Report = args.func(args, cfg)
+        report: Report = args.func(args)
         elapsed_s = time.perf_counter() - t0
-        emit(report, cfg["format"])
+        emit(report, args.format)
         print(f"elapsed: {elapsed_s:.3f}s", file=sys.stderr)
         return EXIT_CHECK_FAILED if report.check_failed else EXIT_OK
     except PkcoreError as exc:

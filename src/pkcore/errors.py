@@ -41,7 +41,7 @@ class OutOfRange(PkcoreError):
 
 
 class BadConfig(PkcoreError):
-    """A setting from a flag, PKCORE_* variable or config file is unusable."""
+    """A flag value is unusable: --jobs below 1 (scan_primes's jobs)."""
 
     exit_code = EXIT_BAD_INPUT
 

@@ -307,6 +307,53 @@ def test_waring_11_8_scales_11_3(capsys):
         assert summary[8][verdict] == summary[3][verdict], verdict
 
 
+BIG_CELLS = [(29, 6), (37, 5), (41, 5), (43, 5), (47, 5)]  # each p^k > 2^26
+
+
+def _jsonl_rows(capsys, *argv):
+    code, out, err = run(capsys, *argv, "--format", "jsonl")
+    assert code == 0, (argv, err)
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_cells_past_2_26_match_independent_arithmetic(capsys):
+    # F+t mod p^k is the preimage of S_t = F+t mod p^2, so every count is p^(k-2) times one at p^2
+    for p, k in BIG_CELLS:
+        m, q, scale, cell = p**k, p * p, p ** (k - 2), ("-p", str(p), "-k", str(k))
+        assert m > 1 << 26 and k >= oracles.naive_critical_precision(p)
+        rows = _jsonl_rows(capsys, "core", *cell)
+        cores = [0] + [row["core"] for row in rows] + [0]  # the core of 0 and of p is 0
+        assert [row["n"] for row in rows] == list(range(1, p))
+        for row in rows:
+            n, c = row["n"], row["core"]
+            assert pow(c, p, m) == c and c % p == n, (p, k, n)
+            assert row["carry"] == (pow(n, p - 1, q) - 1) // p, (p, k, n)
+            assert row["increment"] == (cores[n + 1] - c) % m, (p, k, n)
+
+        levels = oracles.naive_sum_levels(p, 2)  # S_1..S_4 on Z/p^2
+        summary = _jsonl_rows(capsys, "waring", *cell)[0]
+        assert summary["counts"] == {str(t): len(level) * scale for t, level in levels.items()}
+        assert summary["theorem_holds"] == (levels[3] | levels[4] == set(range(q)))
+        # past k = 2 every class mod p^2 of a multiple of p, 0 too, holds nonzero multiples of p
+        assert summary["n0_covered_by3"] == (set(range(0, q, p)) <= levels[3])
+        assert summary["conjecture_f3_in_f4"] == (levels[3] <= levels[4])
+        assert summary["disjoint_f3_f4"] == (not levels[3] & levels[4])
+
+        core_row, power_row = _jsonl_rows(capsys, "pairsums", *cell)
+        assert core_row["observed"] == core_row["predicted"] == (p - 1) ** 2 // 2 and core_row["note"] == ""
+        s2 = levels[2]
+        assert power_row["observed"] == power_row["predicted"] == scale * sum(1 for x in s2 if x % p)
+        assert power_row["nonunit_nonzero"] == scale * sum(1 for x in s2 if x % p == 0) - (0 in s2)
+
+        order = (p - 1) * scale  # |F|: F is the subgroup of the units of this order
+        for x in (0, 1, p, q, 12345, m // 3, m - 1):
+            (row,) = _jsonl_rows(capsys, "decompose", *cell, str(x))
+            summands = row["summands"]
+            assert row["residue"] == x and sum(summands) % m == x, (p, k, x)
+            assert row["level"] == len(summands) == min(t for t, level in levels.items() if x % q in level)
+            assert all(pow(v, order, m) == 1 for v in summands), (p, k, x)
+
+
 def test_table_bound_option_is_gone(tmp_path, monkeypatch, capsys):
     for argv in (["core"], ["increments"], ["pairsums"], ["waring"], ["decompose", "1"]):
         with pytest.raises(SystemExit) as e:
@@ -568,22 +615,6 @@ def test_flags_scoped_to_their_commands(capsys):
         assert code == 6 and "jobs" in err, argv
 
 
-def test_config_precedence(tmp_path, monkeypatch, capsys):
-    conf = tmp_path / "pk.conf"
-    conf.write_text("format=csv\n")
-    monkeypatch.setenv("PKCORE_CONFIG", str(conf))
-    # config file format applies
-    code, out, _ = run(capsys, "waring", "-p", "11", "-k", "3")
-    assert code == 0 and out.startswith("p,k,counts,")
-    # env overrides file
-    monkeypatch.setenv("PKCORE_FORMAT", "jsonl")
-    code, out, _ = run(capsys, "waring", "-p", "11", "-k", "3")
-    assert code == 0 and json.loads(out.splitlines()[0])["p"] == 11
-    # flag overrides env
-    code, out, _ = run(capsys, "waring", "-p", "11", "-k", "3", "--format", "human")
-    assert code == 0 and out.startswith("# waring p=11 k=3")
-
-
 def test_divisors_command(capsys):
     code, out, _ = run(capsys, "divisors", "-p", "11")
     assert code == 0
@@ -599,73 +630,53 @@ def test_waring_3_16_under_default_bound(capsys):
     assert summary["n0_covered_by3"] is False
 
 
-def test_bad_config_value_exit(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
-    bad = [("JOBS", "abc"), ("BASE", "two"), ("FORMAT", "xml")]
-    for key, value in bad:
-        monkeypatch.setenv(f"PKCORE_{key}", value)
-        code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
-        assert code == 6 and f"PKCORE_{key}" in err and key.lower() in err, (key, err)
-        monkeypatch.delenv(f"PKCORE_{key}")
-    conf = tmp_path / "pk.conf"
-    monkeypatch.setenv("PKCORE_CONFIG", str(conf))
-    for line in ("jobs=2.5", "base=", "format=xml"):
-        conf.write_text(line + "\n")
-        code, _, err = run(capsys, "core", "-p", "5", "-k", "2")
-        assert code == 6 and line.split("=")[0] in err and str(conf) in err, (line, err)
-
-
-def test_unreadable_config_file_is_bad_config(tmp_path, monkeypatch, capsys):
-    # a path that exists but cannot be read as text exits 6 with its path, not 7
-    binary = tmp_path / "binary.conf"
-    binary.write_bytes(b"\xff\n")
-    for path in (tmp_path, binary):
-        monkeypatch.setenv("PKCORE_CONFIG", str(path))
-        code, out, err = run(capsys, "core", "-p", "5", "-k", "2")
-        assert code == 6 and out == "" and str(path) in err and "internal error" not in err, (path, err)
-
-
-def test_config_minimums_name_their_source(tmp_path, monkeypatch, capsys):
-    # each integer key has a minimum, checked whichever of flag, variable or file set it
-    conf = tmp_path / "pk.conf"
-    monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
+def test_config_minimums_name_their_source(capsys):
+    # a flag below its minimum is refused by the library before any work, naming the key
     commands = {
         "jobs": ("kp", "--to", "20"),
         "base": ("scan", "wieferich", "--to", "50"),
     }
     for key, least in {"jobs": 1, "base": 2}.items():
-        env, flag = f"PKCORE_{key.upper()}", "--" + key.replace("_", "-")
         for value in (least - 1, least):
-            rejected = f"{key} = {value} from {{}} must be at least {least}"
-            code, out, err = run(capsys, *commands[key], flag, str(value))
-            assert (code == 6 and out == "" and rejected.format(flag) in err) == (value < least), (key, value, err)
-            monkeypatch.setenv(env, str(value))
-            code, _, err = run(capsys, *commands[key])
-            assert (code == 6 and rejected.format(env) in err) == (value < least), (key, value, err)
-            monkeypatch.delenv(env)
-            conf.write_text(f"{key}={value}\n")
-            monkeypatch.setenv("PKCORE_CONFIG", str(conf))
-            code, _, err = run(capsys, *commands[key])
-            assert (code == 6 and rejected.format(f"config file {conf}") in err) == (value < least), (key, value, err)
-            monkeypatch.setenv("PKCORE_CONFIG", str(tmp_path / "absent.conf"))
+            code, out, err = run(capsys, *commands[key], f"--{key}", str(value))
+            if value < least:
+                assert code == 6 and out == "" and key in err, (key, value, err)
+            else:
+                assert code == 0 and out, (key, value, err)
 
 
-def test_scan_refuses_flags_its_kind_does_not_read(tmp_path, monkeypatch, capsys):
+def test_scan_refuses_flags_its_kind_does_not_read(capsys):
     for argv, flag in (
-        (("scan", "exceptions", "--to", "50", "--base", "3"), "--base"),
-        (("scan", "note4", "--to", "50", "--base", "3"), "--base"),
-        (("scan", "wieferich", "--to", "50", "-k", "9"), "-k"),
-        (("scan", "exceptions", "--to", "50", "-k", "3"), "-k"),
+        (("scan", "exceptions", "--to", "50", "--base", "3"), "--base 3"),
+        (("scan", "note4", "--to", "50", "--base", "3"), "--base 3"),
+        (("scan", "wieferich", "--to", "50", "-k", "9"), "-k 9"),
+        (("scan", "exceptions", "--to", "50", "-k", "3"), "-k 3"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert code == 6 and out == "" and f"error: {flag} applies to scan" in err, (argv, err)
-    # a base from the environment or the config file is a global default, not an error
-    conf = tmp_path / "pk.conf"
-    conf.write_text("base=3\n")
-    monkeypatch.setenv("PKCORE_CONFIG", str(conf))
-    assert run(capsys, "scan", "exceptions", "--to", "50")[0] == 0
-    monkeypatch.setenv("PKCORE_BASE", "5")
-    assert run(capsys, "scan", "note4", "--to", "50")[0] == 0
+        with pytest.raises(SystemExit) as e:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert e.value.code == 6 and out == "" and f"unrecognized arguments: {flag}" in err, (argv, err)
+    # each kind's options follow the kind: an option before it is read by no parser
+    with pytest.raises(SystemExit) as e:
+        main(["scan", "--format", "jsonl", "wieferich", "--to", "50"])
+    assert e.value.code == 6 and capsys.readouterr().out == ""
+
+
+def test_output_is_a_function_of_argv(tmp_path, monkeypatch, capsys):
+    # variables and config files named like settings change nothing: argv alone decides
+    calls = (("core", "-p", "5", "-k", "2"), ("kp", "--to", "20"), ("scan", "wieferich", "--to", "4000"))
+    for key in [key for key in os.environ if key.startswith("PKCORE_")]:
+        monkeypatch.delenv(key)
+    clean = [run(capsys, *argv)[:2] for argv in calls]
+    assert all(code == 0 and out for code, out in clean)
+    settings = "format=csv\njobs=0\n"
+    named = tmp_path / "named.conf"
+    named.write_text(settings)
+    (tmp_path / "pkcore.conf").write_text(settings)
+    for key, value in (("FORMAT", "csv"), ("JOBS", "0"), ("BASE", "1"), ("CONFIG", str(named))):
+        monkeypatch.setenv(f"PKCORE_{key}", value)
+    monkeypatch.chdir(tmp_path)
+    assert [run(capsys, *argv)[:2] for argv in calls] == clean
 
 
 def test_scan_note4_k_defaults_to_3(tmp_path, capsys):

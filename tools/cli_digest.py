@@ -7,8 +7,7 @@ same bytes to stdout and exited with the same code, and equal `full`
 mean its error text matched too, so a change that only rewords an error
 keeps `outputs` and changes `full`. The `elapsed:` line, the one line
 that differs from run to run, is dropped from stderr.
-Calls run in-process through pkcore.cli.main, in a scratch directory
-with no PKCORE_* variables, so no config file or environment applies.
+Calls run in-process through pkcore.cli.main.
 
 The last two lines of CALLS probe the -p/-k size guard (cli.cell_modulus):
 `waring -p 8209 -k 2` is refused by the sumset-level limit and `core -p
@@ -19,8 +18,6 @@ and `pairsums -p 5 -k 1000` are admitted. `waring -p 9 -k 2` is not prime.
 import contextlib
 import hashlib
 import io
-import os
-import tempfile
 
 from pkcore.cli import main
 
@@ -55,9 +52,5 @@ def digests() -> tuple[str, str]:
 
 
 if __name__ == "__main__":
-    for key in [k for k in os.environ if k.startswith("PKCORE_")]:
-        del os.environ[key]
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
-        outputs, full = digests()
-        print(f"{len(CALLS) * 3} calls  outputs sha256 {outputs}  full sha256 {full}")
+    outputs, full = digests()
+    print(f"{len(CALLS) * 3} calls  outputs sha256 {outputs}  full sha256 {full}")
