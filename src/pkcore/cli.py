@@ -23,12 +23,21 @@ cell_modulus refuses a -p/-k cell before any work (nothing of size p^k
 is built) past k*bitlen(p) > MAX_RESIDUE_BITS, p^min(k, 2) >
 MAX_LEVEL_BITS (exit 4) or the int-to-str digit limit (exit 6).
 
-Each call is parsed once: when argv[0] names a subcommand, that
-subcommand's parser alone reads the rest, and leftovers get the
-top-level parser's "unrecognized arguments" error. Everything else (no
+Each call takes one of two routes. build_parser keeps the Action
+objects add_argument returns and, for each single-parser subcommand
+(all but scan), builds a _Table from them: option string -> action,
+the positionals, and the namespace of defaults. A well-formed argv for
+such a command (exact option strings, each followed by a value that
+does not start with '-', bare positionals, every value of its type and
+choices, nothing missing or extra) is read off that table by _match,
+with no argparse pass, into the namespace argparse would give. Any
+other argv takes one argparse pass: when argv[0] names a subcommand,
+that subcommand's parser alone reads the rest, and leftovers get the
+top-level parser's "unrecognized arguments" error; everything else (no
 argv, -h/--help, an unknown command, an option first) goes through the
-top-level parser, which stays the one source of help, usage and
-command names.
+top-level parser. So argparse stays the one source of help, usage,
+error text and exit codes. A scan option before the kind (scan --to 50
+wieferich) exits 6 naming the order: pkcore scan wieferich --to 50.
 
 Every setting comes from argv: its flag, else the flag's default
 (--format human, --jobs 1, --base 2, note4's -k 3). No environment
@@ -384,69 +393,123 @@ def build_parser() -> argparse.ArgumentParser:
         description="structure of the unit group and p-th power sums mod p^k",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="human")
+    fmt = common.add_argument("--format", choices=FORMATS, default="human")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.tables = {}  # name -> _Table, for the single-parser subcommands
 
-    def common_pk(sp):  # the commands on one cell (p, k), checked by cell_modulus
-        sp.add_argument("-p", type=int, required=True)
-        sp.add_argument("-k", type=int, required=True)
+    def command(name, func, help, *arguments):
+        """A subcommand read by one parser: its parser, and the _Table of the same actions."""
+        sp = sub.add_parser(name, parents=[common], help=help)
+        actions = [fmt] + [sp.add_argument(*flags, **kwargs) for flags, kwargs in arguments]
+        sp.set_defaults(func=func)
+        parser.tables[name] = _Table(name, func, actions)
 
-    sp = sub.add_parser("core", parents=[common], help="core table: values, carries, increments")
-    common_pk(sp)
-    sp.set_defaults(func=cmd_core)
+    def arg(*flags, **kwargs):
+        return flags, kwargs
 
-    sp = sub.add_parser("increments", parents=[common], help="fixed-precision power differences e_i(n)")
-    common_pk(sp)
-    sp.add_argument("--i", type=int, default=1)
-    sp.set_defaults(func=cmd_increments)
-
-    sp = sub.add_parser("kp", parents=[common], help="critical precision per prime")
-    sp.add_argument("--from", dest="start", type=int, default=3)
-    sp.add_argument("--to", type=int, default=100)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.set_defaults(func=cmd_kp)
-
-    sp = sub.add_parser("pairsums", parents=[common], help="core and p-th power pairsum counts")
-    common_pk(sp)
-    sp.set_defaults(func=cmd_pairsums)
-
-    sp = sub.add_parser("waring", parents=[common], help="sumset levels and coverage verdicts")
-    common_pk(sp)
-    sp.set_defaults(func=cmd_waring)
-
-    sp = sub.add_parser("divisors", parents=[common], help="order audit of divisors of p^2-1")
-    sp.add_argument("-p", type=int, required=True)
-    sp.set_defaults(func=cmd_divisors)
+    p = arg("-p", type=int, required=True)
+    k = arg("-k", type=int, required=True)  # with p: a cell (p, k), checked by cell_modulus
+    command("core", cmd_core, "core table: values, carries, increments", p, k)
+    command("increments", cmd_increments, "fixed-precision power differences e_i(n)", p, k,
+            arg("--i", type=int, default=1))
+    command("kp", cmd_kp, "critical precision per prime", arg("--from", dest="start", type=int, default=3),
+            arg("--to", type=int, default=100), arg("--jobs", type=int, default=1))
+    command("pairsums", cmd_pairsums, "core and p-th power pairsum counts", p, k)
+    command("waring", cmd_waring, "sumset levels and coverage verdicts", p, k)
+    command("divisors", cmd_divisors, "order audit of divisors of p^2-1", p)
 
     scan = _Parser(add_help=False, parents=[common])  # what every scan kind reads
-    scan.add_argument("--from", dest="start", type=int, default=3)
-    scan.add_argument("--to", type=int, required=True)
-    scan.add_argument("--jobs", type=int, default=1)
-    scan.add_argument("--checkpoint", default=None)
+    scan_options = [
+        scan.add_argument("--from", dest="start", type=int, default=3),
+        scan.add_argument("--to", type=int, required=True),
+        scan.add_argument("--jobs", type=int, default=1),
+        scan.add_argument("--checkpoint", default=None),
+    ]
     sp = sub.add_parser("scan", help="prime scans")
     sp.set_defaults(func=cmd_scan)
     kinds = sp.add_subparsers(dest="kind", required=True, parser_class=_Parser)
     kind = kinds.add_parser("wieferich", parents=[scan], help="primes p with base^p = base mod p^2")
-    kind.add_argument("--base", type=int, default=2)
+    scan_options.append(kind.add_argument("--base", type=int, default=2))
     kinds.add_parser("exceptions", parents=[scan], help="divisors r of p^2-1 with r^p = r mod p^2")
     kind = kinds.add_parser("note4", parents=[scan], help="generator survey of the divisors of p-1 and p+1")
-    kind.add_argument("-k", type=int, default=3)
+    scan_options.append(kind.add_argument("-k", type=int, default=3))
+    parser.scan_options = {flag for action in [fmt, *scan_options] for flag in action.option_strings}
+    parser.scan_kinds = kinds.choices
 
-    sp = sub.add_parser("decompose", parents=[common], help="p-th power summand witness for a residue")
-    common_pk(sp)
-    sp.add_argument("residue", type=int)
-    sp.add_argument("--max-t", dest="max_t", type=int, default=4)
-    sp.set_defaults(func=cmd_decompose)
+    command("decompose", cmd_decompose, "p-th power summand witness for a residue", p, k,
+            arg("residue", type=int), arg("--max-t", dest="max_t", type=int, default=4))
 
     parser.commands = sub.choices  # name -> subparser, for _parse_argv
     return parser
+
+
+class _Table:
+    """One subcommand's arguments, read off the actions add_argument returned:
+    option string -> action, the positionals, the required actions, and the
+    namespace of a call that sets nothing (command, func and each dest's default)."""
+
+    __slots__ = ("options", "positionals", "required", "defaults")
+
+    def __init__(self, name, func, actions):
+        self.options = {flag: action for action in actions for flag in action.option_strings}
+        self.positionals = tuple(action for action in actions if not action.option_strings)
+        self.required = tuple(action for action in actions if action.required)
+        self.defaults = {"command": name, "func": func} | {action.dest: action.default for action in actions}
+
+
+def _match(table: _Table, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed argv, or None for any other.
+
+    Accepted: an exact option string followed by a value that does not
+    start with '-', and bare positionals, each converted by its type and
+    checked against its choices; a repeated option keeps its last value.
+    Everything else (-h, --, --opt=value, an abbreviation, -p5, a value or
+    residue that starts with '-', a bad value, a missing or extra argument)
+    returns None and is left to argparse, with its help and error text.
+    """
+    values = {}
+    positionals = iter(table.positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            action, value = table.options.get(token), next(tokens, "-")  # no value reads as "-"
+            if action is None or value.startswith("-"):
+                return None
+        else:
+            action, value = next(positionals, None), token
+            if action is None:
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(action.dest not in values for action in table.required):
+        return None
+    return argparse.Namespace(**(table.defaults | values))
+
+
+def _refuse_options_before_kind(scan: argparse.ArgumentParser, kinds, argv: list[str]) -> None:
+    """Exit 6 naming the order a scan's options take, for an argv that opens with one."""
+    kind = next((token for token in argv if token in kinds), None)
+    rest = list(argv)
+    if kind is None:
+        kind = "{" + ",".join(kinds) + "}"
+    else:
+        rest.remove(kind)
+    scan.error(f"options follow the kind: pkcore scan {kind} {' '.join(rest)}")
 
 
 _parser: argparse.ArgumentParser | None = None
 
 
 def _parse_argv(argv=None) -> argparse.Namespace:
-    """One argparse pass: a known subcommand goes to its own parser alone."""
+    """A well-formed call to a single-parser subcommand is read off its
+    _Table; any other call takes one argparse pass, a known subcommand
+    by its own parser alone."""
     global _parser
     if _parser is None:  # built on first use, then reused by every call
         _parser = build_parser()
@@ -454,6 +517,12 @@ def _parse_argv(argv=None) -> argparse.Namespace:
     command = _parser.commands.get(argv[0]) if argv else None
     if command is None:  # no argv, -h, an unknown command or an option first
         return _parser.parse_args(argv)
+    table = _parser.tables.get(argv[0])
+    args = _match(table, argv[1:]) if table is not None else None
+    if args is not None:
+        return args
+    if argv[0] == "scan" and len(argv) > 1 and argv[1].partition("=")[0] in _parser.scan_options:
+        _refuse_options_before_kind(command, _parser.scan_kinds, argv[1:])
     args, extra = command.parse_known_args(argv[1:])
     if extra:  # what the top-level parse_args reports for the same argv
         _parser.error(f"unrecognized arguments: {' '.join(extra)}")

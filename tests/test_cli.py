@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -7,11 +8,14 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import oracles
 import pkcore.cli
 import pkcore.pairsums
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pkcore import corefst, waring
 from pkcore.cli import FORMATS, Report, cell_modulus, main, parse_jsonl, render_human, render_jsonl
 from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange, Oversize
@@ -142,6 +146,8 @@ def test_parser_built_once(monkeypatch, capsys):
 
 
 def test_known_command_parsed_once(monkeypatch, capsys):
+    # a well-formed call is read off its command's table with no argparse pass;
+    # a form the table declines takes one pass, by the command's own parser
     parsed = []
     real = pkcore.cli._Parser.parse_known_args
 
@@ -151,6 +157,8 @@ def test_known_command_parsed_once(monkeypatch, capsys):
 
     monkeypatch.setattr(pkcore.cli._Parser, "parse_known_args", counted)
     code, _, _ = run(capsys, "decompose", "-p", "7", "-k", "3", "14")
+    assert code == 0 and parsed == []
+    code, _, _ = run(capsys, "decompose", "-p", "7", "-k", "3", "--format=jsonl", "14")
     assert code == 0 and parsed == ["pkcore decompose"]
 
 
@@ -167,6 +175,7 @@ VALID_ARGV = [
     ["scan", "exceptions", "--to", "50", "--format", "jsonl"],
     ["decompose", "-p", "7", "-k", "3", "14", "--max-t", "3"],
     ["decompose", "-p", "7", "-k", "3", "--", "-5"],
+    ["increments", "-p", "5", "-k", "2", "--i", "3", "-p", "7", "--format", "csv", "--format", "jsonl"],
 ]
 
 
@@ -175,6 +184,93 @@ def test_single_parse_namespace_matches_full_parser():
         single = pkcore.cli._parse_argv(argv)
         assert vars(single) == vars(pkcore.cli._parser.parse_args(argv)), argv
     assert {argv[0] for argv in VALID_ARGV} == set(pkcore.cli._parser.commands)
+
+
+def built_parser():
+    pkcore.cli._parse_argv(["divisors", "-p", "11"])  # builds the parser on first use
+    return pkcore.cli._parser
+
+
+def test_table_reads_well_formed_calls_as_argparse_does():
+    parser = built_parser()
+    assert set(parser.tables) == set(parser.commands) - {"scan"}
+    accepted = set()
+    for argv in VALID_ARGV:
+        table = parser.tables.get(argv[0])
+        args = pkcore.cli._match(table, argv[1:]) if table is not None else None
+        if args is not None:
+            accepted.add(argv[0])
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+    assert accepted == set(parser.tables)  # each table command has a plain call in VALID_ARGV
+
+
+# what the table leaves to argparse: -p5, an abbreviation, an = form, --, a value or residue
+# starting with '-', help, a bad value, a missing or an extra argument
+DECLINED_ARGV = [
+    ["-p5", "-k", "3", "14"],
+    ["-p", "7", "-k", "3", "--form", "jsonl", "14"],
+    ["-p", "7", "-k", "3", "--format=jsonl", "14"],
+    ["-p", "7", "-k", "3", "--", "-5"],
+    ["-p", "7", "-k", "3", "-5"],
+    ["-p", "-5", "-k", "3", "14"],
+    ["-p", "7", "-k", "3", "14", "-h"],
+    ["-p", "7", "-k", "x", "14"],
+    ["-p", "7", "-k", "3", "14", "--format", "bogus"],
+    ["-p", "7", "14"],
+    ["-p", "7", "-k", "3"],
+    ["-p", "7", "-k", "3", "14", "15"],
+    ["-p", "7", "-k", "3", "14", "-p"],
+]
+
+
+def test_table_declines_every_unusual_form():
+    table = built_parser().tables["decompose"]
+    for argv in DECLINED_ARGV:
+        assert pkcore.cli._match(table, argv) is None, argv
+
+
+ARG_TOKENS = st.one_of(
+    st.integers(-20, 60).map(str),
+    st.sampled_from(["x", "", "1.5", "-", "--", "-h", "--help", "bogus", *FORMATS]),
+)
+
+
+def good_value(action):
+    return st.sampled_from(action.choices) if action.choices else st.integers(0, 60).map(str)
+
+
+@st.composite
+def command_argv(draw):
+    """A table command and its arguments, mostly well formed, shuffled among
+    repeated options, abbreviations, = forms, --, -h, negative ints, non-ints
+    and bad choices."""
+    parser = built_parser()
+    name = draw(st.sampled_from(sorted(parser.tables)))
+    table = parser.tables[name]
+    flags = sorted(table.options)
+    valued = st.sampled_from(flags).flatmap(lambda flag: st.tuples(st.just(flag), good_value(table.options[flag])))
+    abbreviated = st.sampled_from([flag[:-1] for flag in flags if len(flag) > 3] or flags)
+    noise = st.one_of(
+        st.tuples(st.sampled_from(flags) | abbreviated, ARG_TOKENS),
+        st.tuples(st.sampled_from(flags), ARG_TOKENS).map(lambda pair: ("=".join(pair),)),
+        st.tuples(ARG_TOKENS),
+    )
+    pieces = [
+        (*action.option_strings[:1], draw(good_value(action)))
+        for action in table.required
+        if draw(st.integers(0, 9))  # a required argument is missing one time in ten
+    ]
+    pieces += draw(st.lists(valued | valued | noise, max_size=4))
+    return [name] + [token for part in draw(st.permutations(pieces)) for token in part]
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_argv())
+def test_table_agrees_with_argparse_whenever_it_reads(argv):
+    parser = built_parser()
+    args = pkcore.cli._match(parser.tables[argv[0]], argv[1:])
+    if args is not None:
+        assert vars(args) == vars(parser.parse_args(argv)), argv
 
 
 PARITY_ARGV = [
@@ -660,6 +756,37 @@ def test_scan_refuses_flags_its_kind_does_not_read(capsys):
     with pytest.raises(SystemExit) as e:
         main(["scan", "--format", "jsonl", "wieferich", "--to", "50"])
     assert e.value.code == 6 and capsys.readouterr().out == ""
+
+
+def test_scan_options_before_the_kind_name_their_order(capsys):
+    for argv, hint in (
+        (["scan", "--to", "50", "wieferich"], "pkcore scan wieferich --to 50"),
+        (["scan", "--format=jsonl", "note4", "--to", "50"], "pkcore scan note4 --format=jsonl --to 50"),
+        (["scan", "--to", "50"], "pkcore scan {wieferich,exceptions,note4} --to 50"),
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert e.value.code == 6 and out == "", argv
+        assert err.endswith(f"pkcore scan: error: options follow the kind: {hint}\n"), err
+    # help and an unknown kind keep argparse's own text
+    with pytest.raises(SystemExit) as e:
+        main(["scan", "bogus", "--to", "5"])
+    assert e.value.code == 6 and "argument kind: invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        main(["scan", "-h"])
+    assert e.value.code == 0 and "{wieferich,exceptions,note4}" in capsys.readouterr().out
+
+
+def test_every_cli_call_matches_its_golden_line():
+    spec = importlib.util.spec_from_file_location("cli_digest", Path(__file__).parents[1] / "tools" / "cli_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    want = [json.loads(line) for line in digest.GOLDEN.read_text().splitlines()]
+    got = digest.golden_lines()
+    assert [(line["argv"], line["format"]) for line in got] == [(line["argv"], line["format"]) for line in want]
+    differ = [" ".join(w["argv"] + ["--format", w["format"]]) for w, g in zip(want, got) if w != g]
+    assert not differ, f"output changed for {len(differ)} calls: {differ}"
 
 
 def test_output_is_a_function_of_argv(tmp_path, monkeypatch, capsys):

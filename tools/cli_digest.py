@@ -1,4 +1,5 @@
-"""Two sha256 digests over a fixed set of CLI calls, printed on one line.
+"""Two sha256 digests over a fixed set of CLI calls, printed on one line,
+and the per-call golden file that tier-1 checks.
 
 `outputs` hashes each call's argv, format, exit code and stdout; `full`
 adds its stderr. Run as `PYTHONPATH=<tree>/src python tools/cli_digest.py`
@@ -7,19 +8,40 @@ same bytes to stdout and exited with the same code, and equal `full`
 mean its error text matched too, so a change that only rewords an error
 keeps `outputs` and changes `full`. The `elapsed:` line, the one line
 that differs from run to run, is dropped from stderr.
-Calls run in-process through pkcore.cli.main.
+Calls run in-process through pkcore.cli.main, with COLUMNS=80 so that
+argparse wraps help and usage the same in any terminal.
 
 The last two lines of CALLS probe the -p/-k size guard (cli.cell_modulus):
 `waring -p 8209 -k 2` is refused by the sumset-level limit and `core -p
 5 -k 1366` by the residue-bit limit, both exit 4, while `core -p 3 -k 40`
 and `pairsums -p 5 -k 1000` are admitted. `waring -p 9 -k 2` is not prime.
+
+PARSE_CALLS are the argv forms that cli._match leaves to argparse (help,
+errors, `--`, `=` forms, abbreviations, values starting with '-') plus a
+repeated option that it reads itself. The digests cover CALLS only, so
+they stay comparable with trees that predate PARSE_CALLS.
+
+`python tools/cli_digest.py --write` rewrites tests/golden/cli_calls.jsonl:
+one line per call of CALLS + PARSE_CALLS and format, with the argv, the
+format, the exit code and the sha256 of stdout and of stderr (without
+`elapsed:`). tests/test_cli.py reruns every line and names each call
+whose line differs. Help and error text are argparse's, so the file
+pins the Python version it was written with (3.11).
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
 
 from pkcore.cli import main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "cli_calls.jsonl"
+FORMATS = ("human", "jsonl", "csv")
 
 CELLS = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3), (3, 11), (41, 2), (37, 3)]
 CALLS = [[cmd, "-p", str(p), "-k", str(k)] for p, k in CELLS for cmd in ("core", "increments", "pairsums", "waring")]
@@ -29,10 +51,18 @@ CALLS += [["scan", "wieferich", "--to", "4000"], ["scan", "exceptions", "--to", 
 CALLS += [["core", "-p", "3", "-k", "40"], ["waring", "-p", "9", "-k", "2"]]
 CALLS += [["waring", "-p", "8209", "-k", "2"], ["core", "-p", "5", "-k", "1366"], ["pairsums", "-p", "5", "-k", "1000"]]
 
+PARSE_CALLS = [[], ["-h"], ["nope"], ["core", "-h"], ["scan", "-h"], ["scan", "wieferich", "-h"]]
+PARSE_CALLS += [["decompose", "-p5", "-k", "3", "14"], ["decompose", "-p", "5", "-k", "3", "--form", "csv", "14"]]
+PARSE_CALLS += [["decompose", "-p", "5", "-k", "3", "--format=csv", "14"], ["decompose", "-p", "7", "-k", "3", "--", "-5"]]
+PARSE_CALLS += [["decompose", "-p", "-5", "-k", "3", "14"], ["decompose", "-p", "7", "-k", "3", "14", "-p", "5"]]
+PARSE_CALLS += [["decompose", "-p", "7", "14"], ["decompose", "-p", "7", "-k", "3", "14", "15"]]
+PARSE_CALLS += [["decompose", "-p", "7", "-k", "x", "14"], ["core", "-p", "5", "-k", "2", "--format", "bogus"]]
+PARSE_CALLS += [["scan", "--to", "50", "wieferich"], ["scan", "bogus", "--to", "5"]]
+
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects bad flags this way
@@ -43,7 +73,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 def digests() -> tuple[str, str]:
     outputs, full = hashlib.sha256(), hashlib.sha256()
-    for fmt in ("human", "jsonl", "csv"):
+    for fmt in FORMATS:
         for argv in CALLS:
             code, out, err = run(argv + ["--format", fmt])
             outputs.update(f"{argv} {fmt} {code}\n{out}\n".encode())
@@ -51,6 +81,26 @@ def digests() -> tuple[str, str]:
     return outputs.hexdigest(), full.hexdigest()
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_line(argv: list[str], fmt: str) -> dict:
+    """What the golden file holds for argv run with --format fmt appended."""
+    code, out, err = run(argv + ["--format", fmt])
+    return {"argv": argv, "format": fmt, "exit": code, "stdout": _sha(out), "stderr": _sha(err)}
+
+
+def golden_lines() -> list[dict]:
+    return [golden_line(argv, fmt) for fmt in FORMATS for argv in CALLS + PARSE_CALLS]
+
+
 if __name__ == "__main__":
-    outputs, full = digests()
-    print(f"{len(CALLS) * 3} calls  outputs sha256 {outputs}  full sha256 {full}")
+    if sys.argv[1:] == ["--write"]:
+        lines = golden_lines()
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        print(f"{len(lines)} lines written to {GOLDEN}")
+    else:
+        outputs, full = digests()
+        print(f"{len(CALLS) * 3} calls  outputs sha256 {outputs}  full sha256 {full}")
