@@ -31,13 +31,11 @@ such a command (exact option strings, each followed by a value that
 does not start with '-', bare positionals, every value of its type and
 choices, nothing missing or extra) is read off that table by _match,
 with no argparse pass, into the namespace argparse would give. Any
-other argv takes one argparse pass: when argv[0] names a subcommand,
-that subcommand's parser alone reads the rest, and leftovers get the
-top-level parser's "unrecognized arguments" error; everything else (no
-argv, -h/--help, an unknown command, an option first) goes through the
-top-level parser. So argparse stays the one source of help, usage,
-error text and exit codes. A scan option before the kind (scan --to 50
-wieferich) exits 6 naming the order: pkcore scan wieferich --to 50.
+other argv (no argv, -h/--help, an unknown command, an option first, or
+a form _match declines) takes one argparse pass, by the top-level
+parser. So argparse stays the one source of help, usage, error text and
+exit codes. A scan option before the kind (scan --to 50 wieferich) exits
+6 naming the order: pkcore scan wieferich --to 50.
 
 Every setting comes from argv: its flag, else the flag's default
 (--format human, --jobs 1, --base 2, note4's -k 3). No environment
@@ -352,6 +350,7 @@ def cmd_scan(args) -> Report:
     scan = partial(
         generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=args.jobs, checkpoint=args.checkpoint
     )
+    k = None  # set by note4, whose rows are orders mod p^k
     if args.kind == "wieferich":
         base = args.base
         hits = scan(generators.wieferich_test(base), ident={"base": base})
@@ -364,7 +363,7 @@ def cmd_scan(args) -> Report:
         _check_printable(hi - 1, hi, k, f"-k {k} is too large for --to {hi}: orders up to {hi - 1}*{hi}^{k - 1}")
         rows = scan(generators.per_prime(partial(_note4_row, k)), ident={"kind": "note4", "k": k})
     failed = any(row["classification"] == "counterexample" for row in rows)
-    return Report(command="scan", rows=rows, check_failed=failed)
+    return Report(command="scan", rows=rows, k=k, check_failed=failed)
 
 
 def cmd_decompose(args) -> Report:
@@ -434,12 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     kind = kinds.add_parser("note4", parents=[scan], help="generator survey of the divisors of p-1 and p+1")
     scan_options.append(kind.add_argument("-k", type=int, default=3))
     parser.scan_options = {flag for action in [fmt, *scan_options] for flag in action.option_strings}
-    parser.scan_kinds = kinds.choices
+    parser.scan, parser.scan_kinds = sp, kinds.choices  # for _refuse_options_before_kind
 
     command("decompose", cmd_decompose, "p-th power summand witness for a residue", p, k,
             arg("residue", type=int), arg("--max-t", dest="max_t", type=int, default=4))
 
-    parser.commands = sub.choices  # name -> subparser, for _parse_argv
     return parser
 
 
@@ -508,26 +506,18 @@ _parser: argparse.ArgumentParser | None = None
 
 def _parse_argv(argv=None) -> argparse.Namespace:
     """A well-formed call to a single-parser subcommand is read off its
-    _Table; any other call takes one argparse pass, a known subcommand
-    by its own parser alone."""
+    _Table; any other call takes one argparse pass, by the top-level parser."""
     global _parser
     if _parser is None:  # built on first use, then reused by every call
         _parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _parser.commands.get(argv[0]) if argv else None
-    if command is None:  # no argv, -h, an unknown command or an option first
-        return _parser.parse_args(argv)
-    table = _parser.tables.get(argv[0])
+    table = _parser.tables.get(argv[0]) if argv else None
     args = _match(table, argv[1:]) if table is not None else None
     if args is not None:
         return args
-    if argv[0] == "scan" and len(argv) > 1 and argv[1].partition("=")[0] in _parser.scan_options:
-        _refuse_options_before_kind(command, _parser.scan_kinds, argv[1:])
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:  # what the top-level parse_args reports for the same argv
-        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    if len(argv) > 1 and argv[0] == "scan" and argv[1].partition("=")[0] in _parser.scan_options:
+        _refuse_options_before_kind(_parser.scan, _parser.scan_kinds, argv[1:])
+    return _parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

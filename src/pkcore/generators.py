@@ -7,15 +7,12 @@ mod p^2 and so passes the congruence for sign reasons alone, which is
 why divisors congruent to +-1 mod the working modulus are flagged
 sign-trivial and kept out of the exception lists.
 
-There is one audit path: audit_divisors is audit_power_divisors at
-m = 1, which audits the divisors of p^(2m)-1 and exempts only those
-that are +-1 mod p^3. It and the exception scan factor p^(2m)-1 as its
-halves p^m-1 and p^m+1. Also here: base-b Wieferich-type scans
-(b^p = b mod p^2), the quadruple non-core checks for n in {2, 3}, the
-generator survey over divisors of p-1 and p+1, and generator lifting
-from mod p^2 to higher precision.
+audit_divisors audits the divisors of p^2-1, and it and the exception
+scan factor p^2-1 as (p-1)(p+1). Also here: base-b Wieferich-type scans
+(b^p = b mod p^2), the quadruple non-core checks for n in {2, 3}, and
+the generator survey over divisors of p-1 and p+1.
 
-The audits and the survey walk the divisor lattice of the factored
+The audit and the survey walk the divisor lattice of the factored
 number: every divisor r comes with r^(p-1) mod p^k at one multiply per
 step and one pow per prime factor, since n -> n^(p-1) is multiplicative.
 One walker (_lattice) yields plain values in lattice order; it runs once
@@ -25,15 +22,15 @@ scan walks the powers alone and walks the divisors only for the few
 primes that have an exceptional one. Orders come from the split
 G_k = A_k * B_k (modring.split_order):
 ord(r) = ord(r mod p) * p^(k - v_p(r^(p-1) - 1)), or ord(r mod p) when
-r^(p-1) = 1. The audited n = p^(2m) - 1 is -1 mod p, so each cofactor
+r^(p-1) = 1. The audited n = p^2 - 1 is -1 mod p, so each cofactor
 pair has r * (n/r) = -1 mod p and ord(n/r mod p) = ord(-r mod p), which
 the partner rule (modring) reads off d = ord(r mod p): 2d for odd d,
 d/2 for d = 2 mod 4, d for 4 | d, since -1 is the one involution of the
-cyclic group mod p. The audits walk the divisors ascending and run
+cyclic group mod p. The audit walks the divisors ascending and runs
 modring.core_order's peel only on the smaller member of each pair.
 DivisorAudit and GeneratorVerdict are slotted, mutable dataclasses,
 built positionally: a frozen one pays object.__setattr__ per field, and
-the audits build one record per divisor.
+the audit builds one record per divisor.
 
 Every per-prime survey (these scans, the CLI's kp and note4) runs on
 scan_primes, the one prime loop: ordered blocks, a process pool under
@@ -79,8 +76,6 @@ __all__ = [
     "scan_primes",
     "corollary_check",
     "survey_pm1_generators",
-    "audit_power_divisors",
-    "generator_lift",
     "SCAN_BLOCK",
 ]
 
@@ -135,20 +130,37 @@ def _divisor_powers(p: int, fac: dict[int, int], m: int) -> list[tuple[int, int]
     return list(zip(divisors, powers))
 
 
-def _audits(p: int, n: int, fac: dict[int, int]) -> list[DivisorAudit]:
-    """The audit of every divisor r > 1 of n = prod q^e over fac, n = -1 mod p.
+def _p2_minus_1_factorization(p: int) -> dict[int, int]:
+    """p^2 - 1 = (p - 1)(p + 1), factored as its two halves and merged."""
+    fac = factorize(p - 1)
+    for q, e in factorize(p + 1).items():
+        fac[q] = fac.get(q, 0) + e
+    return fac
+
+
+def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
+    """Audit every divisor r > 1 of n = p^2-1 mod p^2 and mod p^3.
+
+    The mod-p^3 congruence r^p = r must fail for every r: none is +-1 mod
+    p^3, since 1 < r <= p^2-1 < p^3-1 (r = p^2-1 has p-th power -1, not
+    itself), so with assert_non_core any r that is core mod p^3 raises
+    CheckFailure. The mod-p^2 flag is informational; exceptional cases are
+    the non-sign-trivial ones (DivisorAudit.exceptional).
 
     r^p = r^(p-1) * r mod p^3, and the order in G_3 is split_order's
-    ord(r mod p) * ord(r^(p-1)), so no divisor costs a pow mod p^3. The
-    walk is ascending, so it meets the smaller member r of each cofactor
-    pair first: r * (n/r) = -1 mod p, so the partner rule (modring) gives
-    ord(n/r mod p) from ord(r mod p), stored until the walk reaches n/r.
-    Only the smaller half of the divisors runs core_order's peel.
+    ord(r mod p) * ord(r^(p-1)), so no divisor costs a pow mod p^3; the
+    divisors and their (p-1)-th powers come off the lattice of p-1 and
+    p+1 (module docstring). The walk is ascending, so it meets the smaller
+    member r of each cofactor pair first: r * (n/r) = -1 mod p, so the
+    partner rule (modring) gives ord(n/r mod p) from ord(r mod p), stored
+    until the walk reaches n/r. Only the smaller half of the divisors runs
+    core_order's peel.
     """
-    p2, p3 = p * p, p ** 3
+    make_modulus(p, 3)  # validates p
+    n, p2, p3 = p * p - 1, p * p, p ** 3
     partner: dict[int, int] = {}  # n/r -> ord(n/r mod p), for r already walked
-    out = []
-    for r, w in sorted(_divisor_powers(p, fac, p3))[1:]:
+    audits = []
+    for r, w in sorted(_divisor_powers(p, _p2_minus_1_factorization(p), p3))[1:]:
         s = n // r
         d = partner.pop(r, 0)
         if not d:
@@ -157,49 +169,14 @@ def _audits(p: int, n: int, fac: dict[int, int]) -> list[DivisorAudit]:
         rp3 = w * r % p3
         rp2 = rp3 % p2
         r2 = r % p2
-        out.append(DivisorAudit(
+        audit = DivisorAudit(
             p, r, s, (rp2 - r) % p2, (rp3 - r) % p3, split_order(p, 3, d, w),
             rp2 == r2, rp3 == r % p3, r2 == 1 or r2 == p2 - 1,
-        ))
-    return out
-
-
-def _p2m_minus_1_factorization(p: int, m: int) -> dict[int, int]:
-    """p^(2m) - 1 = (p^m - 1)(p^m + 1), factored as its two halves and merged."""
-    fac = factorize(p ** m - 1)
-    for q, e in factorize(p ** m + 1).items():
-        fac[q] = fac.get(q, 0) + e
-    return fac
-
-
-def audit_power_divisors(p: int, m_exp: int, assert_non_core: bool = True) -> list[DivisorAudit]:
-    """Audit every divisor r > 1 of p^(2m)-1 mod p^2 and mod p^3.
-
-    The mod-p^3 congruence r^p = r must fail for every r except those
-    congruent to +-1 mod p^3 (for example p^(2m)-1 itself once m >= 2),
-    which are core for sign reasons; with assert_non_core any other
-    violation raises CheckFailure. The mod-p^2 flag is informational;
-    exceptional cases are the non-sign-trivial ones
-    (DivisorAudit.exceptional). The divisors and their (p-1)-th powers
-    come off the lattice of the two factored halves (module docstring).
-    """
-    if m_exp < 1:
-        raise OutOfRange("need m >= 1")
-    make_modulus(p, 3)  # validates p
-    p3 = p ** 3
-    audits = _audits(p, p ** (2 * m_exp) - 1, _p2m_minus_1_factorization(p, m_exp))
-    if assert_non_core:
-        for audit in audits:
-            if audit.is_core_mod_p3 and audit.r % p3 not in (1, p3 - 1):
-                raise CheckFailure(f"divisor {audit.r} of {p}^{2 * m_exp}-1 is core mod {p}^3")
+        )
+        if assert_non_core and audit.is_core_mod_p3:
+            raise CheckFailure(f"divisor {r} of {p}^2-1 is core mod {p}^3")
+        audits.append(audit)
     return audits
-
-
-def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
-    """audit_power_divisors at m = 1: every divisor r > 1 of p^2-1, none of
-    which is +-1 mod p^3, so the non-core assertion exempts no r (r = p^2-1
-    has p-th power -1, not itself)."""
-    return audit_power_divisors(p, 1, assert_non_core)
 
 
 def exception_row(p: int) -> tuple[int, int] | None:
@@ -218,7 +195,7 @@ def exception_row(p: int) -> tuple[int, int] | None:
     to find the smallest such r.
     """
     p2 = p * p
-    fac = _p2m_minus_1_factorization(p, 1)
+    fac = _p2_minus_1_factorization(p)
     powers = _lattice([pow(q, p - 1, p2) for q in fac], fac.values(), p2)
     if powers.count(1) <= 2:
         return None
@@ -409,16 +386,3 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
     satisfied = any(v.klass != "other" for v in verdicts)
     return GeneratorSurvey(p=p, k=k, verdicts=tuple(verdicts), satisfied=satisfied)
 
-
-def generator_lift(p: int, g: int) -> dict[int, bool]:
-    """If g generates the units mod p^2, check it keeps generating at
-    every precision up to 4. Returns {k: is_generator}; an empty dict
-    means g was not a generator mod p^2 (not applicable). One peel gives
-    d = ord(g mod p) and one pow w = g^(p-1) mod p^4; each order mod p^k
-    is split_order's d * ord(w mod p^k)."""
-    if g >= p or g % p == 0:
-        raise OutOfRange("need g < p coprime to p")
-    make_modulus(p, 1)  # validates p
-    d, w = core_order(p, g), pow(g, p - 1, p ** 4)
-    out = {k: split_order(p, k, d, w % p ** k) == (p - 1) * p ** (k - 1) for k in (2, 3, 4)}
-    return out if out[2] else {}

@@ -25,8 +25,8 @@ not in <r>, so -r has order lcm(2, d) = 2d. For d = 2 mod 4,
 (-r)^(d/2) = (-1)^(d/2) r^(d/2) = (-1)(-1) = 1, and r = -(-r) has
 order 2*ord(-r) by the odd case, so ord(-r) = d/2. For 4 | d, ord(-r)
 divides d, and d divides lcm(2, ord(-r)), which forces 4 | ord(-r) and
-ord(-r) = d. The divisor audits in generators use it for each cofactor
-pair of p^(2m) - 1 = -1 mod p. No X^(e) is built as a set: reduction
+ord(-r) = d. The divisor audit in generators uses it for each cofactor
+pair of p^2 - 1 = -1 mod p. No X^(e) is built as a set: reduction
 mod p^(k-e) has kernel Y^(e) and maps A_k onto A_(k-e), so X^(e) is the
 preimage of the core of p^(k-e) (see pairsums).
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import importlib.util
@@ -147,7 +148,8 @@ def test_parser_built_once(monkeypatch, capsys):
 
 def test_known_command_parsed_once(monkeypatch, capsys):
     # a well-formed call is read off its command's table with no argparse pass;
-    # a form the table declines takes one pass, by the command's own parser
+    # a form the table declines takes one pass, by the top-level parser, which
+    # hands the rest to the command's parser
     parsed = []
     real = pkcore.cli._Parser.parse_known_args
 
@@ -159,7 +161,12 @@ def test_known_command_parsed_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "decompose", "-p", "7", "-k", "3", "14")
     assert code == 0 and parsed == []
     code, _, _ = run(capsys, "decompose", "-p", "7", "-k", "3", "--format=jsonl", "14")
-    assert code == 0 and parsed == ["pkcore decompose"]
+    assert code == 0 and parsed == ["pkcore", "pkcore decompose"]
+
+
+def subcommands(parser):
+    """name -> parser of each subcommand, read off the top-level parser's subparsers action."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 VALID_ARGV = [
@@ -183,7 +190,7 @@ def test_single_parse_namespace_matches_full_parser():
     for argv in VALID_ARGV:
         single = pkcore.cli._parse_argv(argv)
         assert vars(single) == vars(pkcore.cli._parser.parse_args(argv)), argv
-    assert {argv[0] for argv in VALID_ARGV} == set(pkcore.cli._parser.commands)
+    assert {argv[0] for argv in VALID_ARGV} == set(subcommands(pkcore.cli._parser))
 
 
 def built_parser():
@@ -193,7 +200,7 @@ def built_parser():
 
 def test_table_reads_well_formed_calls_as_argparse_does():
     parser = built_parser()
-    assert set(parser.tables) == set(parser.commands) - {"scan"}
+    assert set(parser.tables) == set(subcommands(parser)) - {"scan"}
     accepted = set()
     for argv in VALID_ARGV:
         table = parser.tables.get(argv[0])
@@ -287,6 +294,11 @@ PARITY_ARGV = [
     ["--format", "jsonl", "core", "-p", "5", "-k", "2"],
     ["core", "-p", "5", "-k", "2"],
     ["decompose", "-p", "7", "-k", "3", "14", "--format", "jsonl"],
+    ["increments", "-p", "11", "-k", "3", "--i", "2"],
+    ["kp", "--from", "5", "--to", "40", "--format", "csv"],
+    ["pairsums", "-p", "7", "-k", "3"],
+    ["waring", "-p", "5", "-k", "2", "--format", "jsonl"],
+    ["divisors", "-p", "11"],
 ]
 
 
@@ -300,11 +312,15 @@ def test_single_parse_output_matches_full_parser(monkeypatch, capsys):
         return code, out, "".join(line for line in err.splitlines(True) if not line.startswith("elapsed: "))
 
     single = [outcome(argv) for argv in PARITY_ARGV]
-    monkeypatch.setattr(pkcore.cli._parser, "commands", {})  # every argv takes the top-level parser
+    tables = pkcore.cli._parser.tables  # each table command has a call here that its table reads
+    read = {argv[0] for argv in PARITY_ARGV
+            if argv and argv[0] in tables and pkcore.cli._match(tables[argv[0]], argv[1:])}
+    assert read == set(tables)
+    monkeypatch.setattr(pkcore.cli._parser, "tables", {})  # every argv takes the top-level parser
     full = [outcome(argv) for argv in PARITY_ARGV]
     for argv, got, want in zip(PARITY_ARGV, single, full):
         assert got == want, argv
-    assert [code for code, _, _ in single] == [6, 0, 0, 6, 6, 6, 6, 6, 6, 6, 6, 0, 0]
+    assert [code for code, _, _ in single] == [6, 0, 0, 6, 6, 6, 6, 6, 6, 6, 6] + [0] * 7
 
 
 def test_oversize_rejected_before_computing_pk(capsys):
@@ -554,7 +570,7 @@ def test_render_jsonl_matches_per_row_reference(monkeypatch, capsys):
     want = [run(capsys, *argv, "--format", "jsonl")[:2] for argv in argvs]
     for argv, g, w in zip(argvs, got, want):
         assert g == w, argv
-    assert {argv[0] for argv in argvs} == set(pkcore.cli._parser.commands)
+    assert {argv[0] for argv in argvs} == set(subcommands(pkcore.cli._parser))
 
 
 def test_pairsums_below_critical_notes(capsys):

@@ -7,10 +7,8 @@ from pkcore import generators
 from pkcore.errors import BadConfig, OutOfRange
 from pkcore.generators import (
     audit_divisors,
-    audit_power_divisors,
     corollary_check,
     exception_scan,
-    generator_lift,
     scan_primes,
     survey_pm1_generators,
     wieferich_scan,
@@ -188,26 +186,12 @@ def test_survey_satisfied_small_range():
         assert survey_pm1_generators(p, 3).satisfied, p
 
 
-def test_power_divisor_audit():
-    audits = audit_power_divisors(7, 2)
-    rs = {a.r for a in audits}
-    assert 2400 in rs  # -1 mod 7^3, exempt by sign
-    for a in audits:
-        if not a.sign_trivial:
-            assert not a.is_core_mod_p3, a.r
-
-
-def test_power_divisor_orders_match_sympy():
-    # the partner rule sets the core order of every divisor above sqrt(p^(2m)-1)
-    for p in (5, 7, 11, 13):
-        for m in (1, 2, 3):
-            audits = audit_power_divisors(p, m, assert_non_core=False)
-            assert [a.r for a in audits] == oracles.naive_divisors(p ** (2 * m) - 1)[1:], (p, m)
-            for a in audits:
-                assert a.order_in_g3 == oracles.naive_order(a.r, p**3), (p, m, a.r)
-
-
-def test_generator_lift():
-    assert generator_lift(11, 2) == {2: True, 3: True, 4: True}
-    assert generator_lift(11, 3) == {}
-    assert generator_lift(7, 3) == {2: True, 3: True, 4: True}
+def test_survey_class_of_each_divisor_is_the_same_at_every_k():
+    # a generator mod p^2 generates every G_k: each divisor of p-1 and p+1 keeps its class
+    for p in primes_in_range(3, 199):
+        at_2 = [(v.g, v.klass) for v in survey_pm1_generators(p, 2).verdicts]
+        for k in (3, 4, 5):
+            assert [(v.g, v.klass) for v in survey_pm1_generators(p, k).verdicts] == at_2, (p, k)
+    # the first prime with no divisor of p-1 or p+1 generating G_k or half of it
+    assert [p for p in primes_in_range(3, 997) if not survey_pm1_generators(p, 2).satisfied] == [997]
+    assert not survey_pm1_generators(997, 5).satisfied

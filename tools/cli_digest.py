@@ -1,13 +1,14 @@
-"""Two sha256 digests over a fixed set of CLI calls, printed on one line,
-and the per-call golden file that tier-1 checks.
+"""Write tests/golden/cli_calls.jsonl, the per-call golden file that tier-1 checks.
 
-`outputs` hashes each call's argv, format, exit code and stdout; `full`
-adds its stderr. Run as `PYTHONPATH=<tree>/src python tools/cli_digest.py`
-against two trees: equal `outputs` mean every call below printed the
-same bytes to stdout and exited with the same code, and equal `full`
-mean its error text matched too, so a change that only rewords an error
-keeps `outputs` and changes `full`. The `elapsed:` line, the one line
-that differs from run to run, is dropped from stderr.
+`PYTHONPATH=src python tools/cli_digest.py --write` rewrites it: one line
+per call of CALLS + PARSE_CALLS and format, with the argv, the format,
+the exit code and the sha256 of stdout and of stderr. The `elapsed:`
+line, the one line that differs from run to run, is dropped from
+stderr. tests/test_cli.py reruns every line and names each call whose
+line differs; to compare a changed tree with its parent, run that test in
+the changed tree against the parent's golden file. Help and error text
+are argparse's, so the file pins the Python version it was written with
+(3.11). Run with no argument, the tool prints its usage and exits 2.
 Calls run in-process through pkcore.cli.main, with COLUMNS=80 so that
 argparse wraps help and usage the same in any terminal.
 
@@ -18,15 +19,7 @@ and `pairsums -p 5 -k 1000` are admitted. `waring -p 9 -k 2` is not prime.
 
 PARSE_CALLS are the argv forms that cli._match leaves to argparse (help,
 errors, `--`, `=` forms, abbreviations, values starting with '-') plus a
-repeated option that it reads itself. The digests cover CALLS only, so
-they stay comparable with trees that predate PARSE_CALLS.
-
-`python tools/cli_digest.py --write` rewrites tests/golden/cli_calls.jsonl:
-one line per call of CALLS + PARSE_CALLS and format, with the argv, the
-format, the exit code and the sha256 of stdout and of stderr (without
-`elapsed:`). tests/test_cli.py reruns every line and names each call
-whose line differs. Help and error text are argparse's, so the file
-pins the Python version it was written with (3.11).
+repeated option that it reads itself.
 """
 
 import contextlib
@@ -48,6 +41,7 @@ CALLS = [[cmd, "-p", str(p), "-k", str(k)] for p, k in CELLS for cmd in ("core",
 CALLS += [["decompose", "-p", str(p), "-k", str(k), str(x)] for p, k in CELLS for x in (0, 1, p, -5, p * p - 1)]
 CALLS += [["divisors", "-p", "11"], ["divisors", "-p", "73"], ["kp", "--to", "120"]]
 CALLS += [["scan", "wieferich", "--to", "4000"], ["scan", "exceptions", "--to", "120"], ["scan", "note4", "--to", "40"]]
+CALLS += [["scan", "note4", "--to", "40", "-k", "5"]]
 CALLS += [["core", "-p", "3", "-k", "40"], ["waring", "-p", "9", "-k", "2"]]
 CALLS += [["waring", "-p", "8209", "-k", "2"], ["core", "-p", "5", "-k", "1366"], ["pairsums", "-p", "5", "-k", "1000"]]
 
@@ -71,16 +65,6 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), "".join(line for line in err_lines if not line.startswith("elapsed: "))
 
 
-def digests() -> tuple[str, str]:
-    outputs, full = hashlib.sha256(), hashlib.sha256()
-    for fmt in FORMATS:
-        for argv in CALLS:
-            code, out, err = run(argv + ["--format", fmt])
-            outputs.update(f"{argv} {fmt} {code}\n{out}\n".encode())
-            full.update(f"{argv} {fmt} {code}\n{out}\n{err}\n".encode())
-    return outputs.hexdigest(), full.hexdigest()
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -96,11 +80,10 @@ def golden_lines() -> list[dict]:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
-        lines = golden_lines()
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        print(f"{len(lines)} lines written to {GOLDEN}")
-    else:
-        outputs, full = digests()
-        print(f"{len(CALLS) * 3} calls  outputs sha256 {outputs}  full sha256 {full}")
+    if sys.argv[1:] != ["--write"]:
+        print("usage: PYTHONPATH=src python tools/cli_digest.py --write", file=sys.stderr)
+        sys.exit(2)
+    lines = golden_lines()
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    print(f"{len(lines)} lines written to {GOLDEN}")
