@@ -4,12 +4,8 @@ from .corefst import (
     CoreTable,
     CriticalPrecisionResult,
     build_core_table,
-    core_by_recurrence,
-    core_members,
     critical_precision,
-    fst_carry,
     integer_increments,
-    pth_power_members,
 )
 from .errors import (
     CheckFailure,
@@ -27,7 +23,6 @@ from .generators import (
 from .modring import (
     PrimePowerModulus,
     base_p_encode,
-    is_core,
     make_modulus,
 )
 from .pairsums import core_pairsum_count, fermat_pairsum_count
@@ -48,21 +43,16 @@ __all__ = [
     "audit_divisors",
     "base_p_encode",
     "build_core_table",
-    "core_by_recurrence",
-    "core_members",
     "core_pairsum_count",
     "critical_precision",
     "decompose_residue",
     "exception_scan",
     "factorize",
     "fermat_pairsum_count",
-    "fst_carry",
     "integer_increments",
-    "is_core",
     "is_prime",
     "make_modulus",
     "primes_in_range",
-    "pth_power_members",
     "sumset_levels",
     "survey_pm1_generators",
     "verify_multiples_of_p",

@@ -159,22 +159,6 @@ def render_jsonl(report: Report) -> str:
     return _LINE_SEP.join(records) + "\n"
 
 
-def parse_jsonl(text: str) -> Report:
-    rows = []
-    command, p, k = "", None, None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        command = rec.pop("command", command)
-        p = rec.pop("p", p)
-        k = rec.pop("k", k)
-        rec.pop("schema_version", None)
-        if rec != {"rows": 0}:
-            rows.append(rec)
-    return Report(command=command, rows=rows, p=p, k=k)
-
-
 def render_csv(report: Report) -> str:
     import csv as _csv
     import io

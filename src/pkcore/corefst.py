@@ -7,8 +7,8 @@ settled (the ladder), and the first digit of n^(p-1) mod p^2 (the
 carry n') is a handle on how the core increments d_k(n) = A_k(n+1) -
 A_k(n) distribute over precisions. Both powers are completely
 multiplicative, so every per-n table here is a primes.power_table, with
-a pow at prime n only; core_by_recurrence and fst_carry give one value
-each and are the tests' reference for the tables.
+a pow at prime n only; the ladder and the per-n carry are test oracles
+(tests/oracles.py).
 
 Critical precision K_p is the least k at which the h = (p-1)/2 first-half
 increments are pairwise distinct mod p^k. It is already determined by the
@@ -28,7 +28,7 @@ scan survive only as a test oracle.
 build_core_table, memoised per modulus, is the one builder of A_k, its
 carries, its increments and D_k. F_k is the preimage of the core A_2,
 so its base A_q, q = p^min(k, 2) (pth_power_base), is read off the
-core table of q too, and pth_power_members tiles it out to p^k.
+core table of q too; x is in F_k exactly when x mod q is in A_q.
 """
 
 from __future__ import annotations
@@ -42,48 +42,21 @@ from .modring import PrimePowerModulus, make_modulus
 from .primes import power_table
 
 
-def fst_carry(p: int, n: int) -> int:
-    """The carry digit n' in n^(p-1) = n'p + 1 mod p^2.
-
-    Exact division is guaranteed; n' = 0 happens for n = 1 always and
-    for bases whose (p-1)-th power is 1 mod p^2 (for example n = 2 at
-    p = 1093).
-    """
-    if not 1 <= n < p:
-        raise OutOfRange(f"need 1 <= n < p, got n={n}, p={p}")
-    return (pow(n, p - 1, p * p) - 1) // p
-
-
-def core_by_recurrence(p: int, n: int, k: int) -> int:
-    """A_k(n) by the digit-gaining ladder: one p-th power per precision.
-
-    Each step computes f_i = f_{i-1}^p mod p^(i+1); congruence mod p^i
-    determines the p-th power mod p^(i+1), so every step fixes the known
-    digits and produces exactly one new one. Equivalent to the direct
-    n^(p^(k-1)) mod p^k (asserted in the property suite) but does k-1
-    small powerings instead of one big one.
-    """
-    if not 1 <= n < p:
-        raise OutOfRange(f"need 1 <= n < p, got n={n}, p={p}")
-    if k < 1:
-        raise OutOfRange(f"need k >= 1, got {k}")
-    f = n
-    for i in range(1, k):
-        f = pow(f, p, p ** (i + 1))
-    return f
-
-
 def recurrence_step_identity(p: int, n: int, i: int) -> bool:
     """Check n^(p^i) = n^(p^(i-1)) * (n'p^i + 1) mod p^(i+1).
 
     The identity relates full-precision values: the first factor must be
     carried at the target precision p^(i+1). Truncating it to p^i digits
     loses the top digit of the product, which is why the generation
-    ladder uses p-th powers instead of carry multiplies.
+    ladder uses p-th powers instead of carry multiplies. n' is read off
+    the core table of p^2.
     """
+    if not 1 <= n < p:
+        raise OutOfRange(f"need 1 <= n < p, got n={n}, p={p}")
+    carry = build_core_table(make_modulus(p, 2)).carries[n - 1]
     m = p ** (i + 1)
     lhs = pow(n, p ** i, m)
-    rhs = pow(n, p ** (i - 1), m) * (fst_carry(p, n) * p ** i + 1) % m
+    rhs = pow(n, p ** (i - 1), m) * (carry * p ** i + 1) % m
     return lhs == rhs
 
 
@@ -110,8 +83,8 @@ def build_core_table(mod: PrimePowerModulus) -> CoreTable:
     """The core table of mod, built once per modulus and then shared.
 
     The only place the core is computed, as the power tables of
-    n^(p^(k-1)) mod p^k and n^(p-1) mod p^2 (the carries); core_members,
-    F's base, the pairsum counts and the corollary check all read it. No
+    n^(p^(k-1)) mod p^k and n^(p-1) mod p^2 (the carries); the CLI, F's
+    base, the pairsum counts and the claim checks all read it. No
     extension X^(e) is built as a set: it is the preimage of the core of
     p^(k-e), so the pairsum counts read that table instead.
     """
@@ -137,11 +110,6 @@ def _core_table(mod: PrimePowerModulus) -> CoreTable:
     )
 
 
-def core_members(mod: PrimePowerModulus) -> set[int]:
-    """The core A_k as a set: the p-1 residues with n^p = n mod p^k."""
-    return set(build_core_table(mod).core)
-
-
 def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
     """(q, A_q): q = p^min(k, 2) and the p-th powers of units mod q, ascending.
 
@@ -153,13 +121,6 @@ def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
     """
     mod = make_modulus(p, min(k, 2))
     return mod.modulus, tuple(sorted(build_core_table(mod).core))
-
-
-def pth_power_members(mod: PrimePowerModulus) -> set[int]:
-    """F_k, the p-th powers of units. Equals X^(k-2) for k >= 2. Builds
-    all (p-1)*p^(k-2) members: O(p^k) time and memory."""
-    q, base = pth_power_base(mod.p, mod.k)
-    return {a + j for j in range(0, mod.modulus, q) for a in base}
 
 
 def power_differences(e: int, m: int, top: int) -> list[int]:

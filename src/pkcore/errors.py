@@ -40,12 +40,6 @@ class OutOfRange(PkcoreError):
     exit_code = EXIT_BAD_INPUT
 
 
-class BadConfig(PkcoreError):
-    """A flag value is unusable: --jobs below 1 (scan_primes's jobs)."""
-
-    exit_code = EXIT_BAD_INPUT
-
-
 class BadCheckpoint(PkcoreError):
     """A scan checkpoint is unreadable or was written by a different scan."""
 

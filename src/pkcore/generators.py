@@ -59,8 +59,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .corefst import build_core_table
-from .errors import BadCheckpoint, BadConfig, CheckFailure, OutOfRange
-from .modring import core_order, is_core, make_modulus, split_order
+from .errors import BadCheckpoint, CheckFailure, OutOfRange
+from .modring import core_order, make_modulus, split_order
 from .primes import factorize, primes_in_range
 
 __all__ = [
@@ -89,8 +89,6 @@ class DivisorAudit:
     p: int
     r: int
     cofactor: int
-    rp_minus_r_mod_p2: int
-    rp_minus_r_mod_p3: int
     order_in_g3: int
     is_core_mod_p2: bool
     is_core_mod_p3: bool
@@ -167,11 +165,9 @@ def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
             d = core_order(p, r)
             partner[s] = 2 * d if d & 1 else d // 2 if d & 3 == 2 else d
         rp3 = w * r % p3
-        rp2 = rp3 % p2
         r2 = r % p2
         audit = DivisorAudit(
-            p, r, s, (rp2 - r) % p2, (rp3 - r) % p3, split_order(p, 3, d, w),
-            rp2 == r2, rp3 == r % p3, r2 == 1 or r2 == p2 - 1,
+            p, r, s, split_order(p, 3, d, w), rp3 % p2 == r2, rp3 == r % p3, r2 == 1 or r2 == p2 - 1,
         )
         if assert_non_core and audit.is_core_mod_p3:
             raise CheckFailure(f"divisor {r} of {p}^2-1 is core mod {p}^3")
@@ -296,7 +292,7 @@ def scan_primes(
     raises BadCheckpoint.
     """
     if jobs < 1:
-        raise BadConfig(f"jobs = {jobs} must be at least 1")
+        raise OutOfRange(f"jobs = {jobs} must be at least 1")
     ident = ident or {}
     if checkpoint and os.path.exists(checkpoint):
         lo = max(lo, _read_checkpoint(checkpoint, ident))
@@ -321,16 +317,18 @@ def scan_primes(
 def corollary_check(p: int) -> bool:
     """For n in {2, 3}: the quadruple {n, -n, 1/n, -1/n} mod p^k stays
     outside the core for k in {3, 4}, and multiplying the quadruple into
-    the core never lands back in the core (spot-checked on 8 cores)."""
+    the core never lands back in the core (spot-checked on 8 cores).
+    A unit y is core exactly when it is its row of the core table,
+    A_k(y mod p) = y."""
     if p in (2, 3):
         raise OutOfRange("needs p >= 5 so that 2 and 3 are units")
     for k in (3, 4):
         mod = make_modulus(p, k)
-        cores = build_core_table(mod).core[:8]
+        m, core = mod.modulus, build_core_table(mod).core
         for n in (2, 3):
-            inv = pow(n, -1, mod.modulus)
+            inv = pow(n, -1, m)
             for x in (n, -n, inv, -inv):
-                if is_core(mod, x) or any(is_core(mod, x * a) for a in cores):
+                if any(y % p and core[y % p - 1] == y for y in (x * a % m for a in (1, *core[:8]))):
                     return False
     return True
 

@@ -7,11 +7,11 @@ B_k = {units = 1 mod p} of order p^(k-1), generated by p+1. Between A_k
 and G_k sit the core extensions X^(e) = A_k * Y^(e) with Y^(e) generated
 by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
-Here live the moduli and orders; the sets A_k and F_k are built in
-corefst, from its core table. make_modulus builds a descriptor at any
+Here live the moduli and orders; A_k and the base of F_k are read off
+corefst's core table. make_modulus builds a descriptor at any
 size; the CLI's size check on (p, k) is cli.cell_modulus. A residue is a
-plain int in [0, p^k): is_core and base_p_encode take (mod, x) and
-reduce any int x mod p^k themselves. An order is read off the split:
+plain int in [0, p^k): base_p_encode takes (mod, x) and reduces any
+int x mod p^k itself. An order is read off the split:
 the order d of r mod p (core_order, a peel of the primes of p-1 mod p)
 times the order of r^(p-1) in B_k (split_order), so a caller that
 already holds r^(p-1), such as the divisor lattice in generators, pays
@@ -107,11 +107,6 @@ def split_order(p: int, k: int, d: int, w: int) -> int:
         rest //= p
         j += 1
     return d * p ** (k - j)
-
-
-def is_core(mod: PrimePowerModulus, x: int) -> bool:
-    x %= mod.modulus
-    return x % mod.p != 0 and pow(x, mod.p, mod.modulus) == x
 
 
 # --- base-p text --------------------------------------------------------

@@ -127,10 +127,6 @@ class CoverageReport:
         q, m = self.sums.q, self.mod.modulus
         return {t: _tile(level, q, m) for t, level in enumerate(self.sums.levels, start=1)}
 
-    def members(self, t: int) -> set[int]:
-        bits = bin(self.masks[t])[:1:-1]  # least significant bit first
-        return {i for i, c in enumerate(bits) if c == "1"}
-
 
 def sumset_levels(mod: PrimePowerModulus, max_t: int = 4) -> CoverageReport:
     """Levels F, F+2, ..., F+max_t and the coverage verdicts, all read at q."""

@@ -23,6 +23,21 @@ def naive_core_element(p: int, k: int, n: int) -> int:
     raise AssertionError(f"no core element for n={n} mod {p}^{k}")
 
 
+def core_by_recurrence(p: int, n: int, k: int) -> int:
+    """A_k(n) by the digit-gaining ladder: one p-th power per precision.
+
+    Each step computes f_i = f_{i-1}^p mod p^(i+1); congruence mod p^i
+    determines the p-th power mod p^(i+1), so every step fixes the known
+    digits and produces exactly one new one. k-1 small powerings, no
+    power table: the reference the core table is compared with.
+    """
+    assert 1 <= n < p and k >= 1, (p, n, k)
+    f = n
+    for i in range(1, k):
+        f = pow(f, p, p ** (i + 1))
+    return f
+
+
 def naive_core_set(p: int, k: int) -> set[int]:
     m = p**k
     return {x for x in range(1, m) if x % p and pow(x, p - 1, m) == 1}
@@ -114,8 +129,6 @@ def naive_audit_divisors(p: int) -> list[dict]:
             "p": p,
             "r": r,
             "cofactor": (p2 - 1) // r,
-            "rp_minus_r_mod_p2": (rp2 - r) % p2,
-            "rp_minus_r_mod_p3": (rp3 - r) % p3,
             "order_in_g3": naive_order(r, p3),
             "is_core_mod_p2": rp2 == r % p2,
             "is_core_mod_p3": rp3 == r % p3,

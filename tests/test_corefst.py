@@ -7,13 +7,10 @@ import oracles
 from pkcore import corefst, primes
 from pkcore.corefst import (
     build_core_table,
-    core_by_recurrence,
     critical_precision,
     equivalence_level_multiset,
-    fst_carry,
     integer_increments,
     pth_power_base,
-    pth_power_members,
     recurrence_step_identity,
 )
 from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange
@@ -26,28 +23,31 @@ def enc(x, p, k):
 
 
 def test_fst_carry_golden():
-    assert fst_carry(11, 4) == 10
-    assert fst_carry(11, 5) == 7
-    assert fst_carry(11, 6) == 5
+    carries = build_core_table(make_modulus(11, 2)).carries
+    assert (carries[3], carries[4], carries[5]) == (10, 7, 5)
     # tail digits of n^(p-1) mod p^2 written base p are <carry>1
     for n, digits in [(4, "a1"), (5, "71"), (6, "51")]:
         assert enc(pow(n, 10, 121), 11, 2) == digits
 
 
 def test_fst_carry_matches_oracle():
+    # the carry is n^(p-1) mod p^2, so every precision's table holds the same one
     rng = random.Random(3)
     for _ in range(300):
         p = rng.choice([3, 5, 7, 11, 13, 101])
         n = rng.randint(1, p - 1)
-        assert fst_carry(p, n) == oracles.naive_fst_carry(p, n)
+        k = rng.randint(1, 4)
+        assert build_core_table(make_modulus(p, k)).carries[n - 1] == oracles.naive_fst_carry(p, n)
 
 
 def test_recurrence_vs_direct_and_scan():
+    # the ladder oracle, the direct power and the scan agree with the table
     for p in (3, 5, 7, 11, 13):
         for k in (1, 2, 3, 4):
+            table = build_core_table(make_modulus(p, k))
             for n in range(1, p):
-                got = core_by_recurrence(p, n, k)
-                assert got == pow(n, p ** (k - 1), p**k)
+                got = oracles.core_by_recurrence(p, n, k)
+                assert got == pow(n, p ** (k - 1), p**k) == table.core[n - 1]
                 assert got == oracles.naive_core_element(p, k, n)
 
 
@@ -100,7 +100,7 @@ def test_distinct_increments_match_naive():
         for k in (1, 2, 3, 4):
             m = p**k
             table = build_core_table(make_modulus(p, k))
-            ladders[k] = [0] + [core_by_recurrence(p, n, k) for n in range(1, p)] + [0]
+            ladders[k] = [0] + [oracles.core_by_recurrence(p, n, k) for n in range(1, p)] + [0]
             assert table.core == tuple(ladders[k][1:p]) and table.carries == carries, (p, k)
             assert table.increments == tuple((b - a) % m for a, b in zip(ladders[k], ladders[k][1:])), (p, k)
             dk = table.distinct_increments
@@ -202,7 +202,7 @@ def test_increment_ratio_is_pth_power():
     m = 11**3
     ratio = 793 * pow(67, -1, m) % m
     assert enc(ratio, 11, 3) == "601"
-    assert ratio in pth_power_members(make_modulus(11, 3))
+    assert ratio in oracles.naive_pth_powers(11, 3)
     assert 67 * 727 % m == 793
 
 

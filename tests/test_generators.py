@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from pkcore import generators
-from pkcore.errors import BadConfig, OutOfRange
+from pkcore.errors import OutOfRange
 from pkcore.generators import (
     audit_divisors,
     corollary_check,
@@ -150,7 +150,7 @@ def test_pool_capped_at_block_count(monkeypatch):
     assert [(p.max_workers, p.blocks) for p in pools] == [(2, 8)]
     pools.clear()
     assert wieferich_scan(4000, jobs=1) == [1093, 3511] and pools == []
-    with pytest.raises(BadConfig):
+    with pytest.raises(OutOfRange):
         wieferich_scan(100, jobs=0)
 
 
@@ -159,6 +159,18 @@ def test_corollary_check():
         assert corollary_check(p)
     with pytest.raises(OutOfRange):
         corollary_check(3)
+
+
+def test_corollary_check_reads_core_membership_off_the_table(monkeypatch):
+    # a table whose row of 2 is 2 itself puts n = 2 in the core, and the check must see it
+    real = generators.build_core_table
+
+    def two_in_core(mod):
+        table = real(mod)
+        return dataclasses.replace(table, core=(table.core[0], 2, *table.core[2:]))
+
+    monkeypatch.setattr(generators, "build_core_table", two_in_core)
+    assert not corollary_check(7)
 
 
 def test_survey_73():

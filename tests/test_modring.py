@@ -3,9 +3,9 @@ import random
 import pytest
 
 import oracles
-from pkcore.corefst import build_core_table, core_members, pth_power_members
+from pkcore.corefst import build_core_table, pth_power_base
 from pkcore.errors import BadExponent, EvenPrime, NotPrime
-from pkcore.modring import base_p_encode, core_order, is_core, make_modulus, split_order
+from pkcore.modring import base_p_encode, core_order, make_modulus, split_order
 from pkcore.primes import primes_in_range
 
 
@@ -32,7 +32,7 @@ def test_orders():
     mod = make_modulus(11, 3)
     assert mod.units_order == 10 * 121
     assert mod.pth_power_order == 110
-    assert len(core_members(mod)) == 10
+    assert len(set(build_core_table(mod).core)) == 10
     assert len(oracles.naive_extension_members(11, 3, 1)) == 110
 
 
@@ -46,37 +46,36 @@ def test_residues_reduce_and_units_are_checked():
         for x in range(1, m, max(1, m // 40)):
             shifted = (x + m, x - m)
             assert all(base_p_encode(mod, y) == base_p_encode(mod, x) for y in shifted)
-            assert all(is_core(mod, y) == is_core(mod, x) for y in shifted)
 
 
 def test_core_members_5_2():
-    mod = make_modulus(5, 2)
-    assert core_members(mod) == frozenset({1, 7, 18, 24})
-    assert core_members(mod) == frozenset(oracles.naive_core_set(5, 2))
+    core = set(build_core_table(make_modulus(5, 2)).core)
+    assert core == {1, 7, 18, 24} == oracles.naive_core_set(5, 2)
 
 
 def test_core_members_11_3_golden():
     mod = make_modulus(11, 3)
     golden = ["001", "4a2", "103", "974", "525", "586", "137", "9a8", "609", "aaa"]
     want = frozenset(oracles.naive_base_p_decode(s, 11) for s in golden)
-    assert core_members(mod) == want
-    assert core_members(mod) == frozenset(oracles.naive_core_set(11, 3))
+    assert set(build_core_table(mod).core) == want == oracles.naive_core_set(11, 3)
 
 
 def test_pth_powers_11_3_golden():
     golden = ["001", "5a2", "103", "274", "325", "886", "937", "aa8", "609", "0aa"]
     for n, s in enumerate(golden, start=1):
         assert pow(n, 11, 1331) == oracles.naive_base_p_decode(s, 11), (n, s)
-    mod = make_modulus(11, 3)
-    f = pth_power_members(mod)
+    # F_3 is the preimage of A_q, q = 11^2: x is a p-th power iff x mod q is in A_q
+    q, base = pth_power_base(11, 3)
+    f = {x for x in range(1331) if x % q in base}
     assert len(f) == 110
-    assert f == frozenset(oracles.naive_pth_powers(11, 3))
+    assert f == oracles.naive_pth_powers(11, 3)
 
 
 def test_core_extensions_interpolate():
     mod = make_modulus(7, 3)
-    assert oracles.naive_extension_members(7, 3, 0) == core_members(mod)
-    assert oracles.naive_extension_members(7, 3, mod.k - 2) == pth_power_members(mod)
+    q, base = pth_power_base(7, 3)
+    assert oracles.naive_extension_members(7, 3, 0) == set(build_core_table(mod).core)
+    assert oracles.naive_extension_members(7, 3, mod.k - 2) == {x for x in range(mod.modulus) if x % q in base}
     full = oracles.naive_extension_members(7, 3, mod.k - 1)
     assert len(full) == mod.units_order
     # each level is a subgroup of the next
@@ -106,9 +105,8 @@ def test_is_core_and_decompose():
             continue
         c, e = split_unit(m, x)
         assert c * e % m.modulus == x
-        assert is_core(m, c)
+        assert pow(c, p, m.modulus) == c
         assert pow(e, p ** (k - 1), m.modulus) == 1
-        assert is_core(m, x) == (pow(x, p, m.modulus) == x)
 
 
 def test_multiplicative_order_vs_sympy():

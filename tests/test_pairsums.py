@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import oracles
-from pkcore.corefst import build_core_table, core_members, critical_precision, pth_power_members
+from pkcore.corefst import build_core_table, critical_precision
 from pkcore.errors import BadExponent
 from pkcore.modring import make_modulus
 from pkcore.pairsums import (
@@ -28,7 +28,7 @@ def test_core_count_below_critical():
 def test_core_pairsums_match_oracle():
     for p, k in [(5, 2), (7, 2), (11, 2), (7, 3)]:
         mod = make_modulus(p, k)
-        core = set(core_members(mod))
+        core = set(build_core_table(mod).core)
         sums = oracles.naive_pairsums(core, mod.modulus)
         observed, _ = core_pairsum_count(mod)
         assert observed == len(sums - {0})
@@ -55,7 +55,7 @@ def test_fermat_k1_matches():
     for p in (3, 5, 7, 11, 13):
         mod = make_modulus(p, 1)
         r = fermat_pairsum_count(mod)
-        want = oracles.naive_unit_pairsums(set(pth_power_members(mod)), p, p)
+        want = oracles.naive_unit_pairsums(oracles.naive_pth_powers(p, 1), p, p)
         assert r.matches and r.observed == r.predicted == len(want) == p - 1, p
 
 
@@ -64,13 +64,13 @@ def test_fermat_predicted_uses_distinct_increments():
         mod = make_modulus(p, k)
         r = fermat_pairsum_count(mod)
         d2 = critical_precision(p).distinct_counts.get(2, (p - 1) // 2)
-        assert r.predicted == len(pth_power_members(mod)) * d2
+        assert r.predicted == len(oracles.naive_pth_powers(p, k)) * d2
 
 
 def test_fermat_extras_are_deep_multiples():
     for p, k in [(5, 3), (7, 3), (11, 3)]:
         mod = make_modulus(p, k)
-        f = sorted(pth_power_members(mod))
+        f = sorted(oracles.naive_pth_powers(p, k))
         m = mod.modulus
         extras = {
             s
@@ -84,7 +84,7 @@ def test_fermat_extras_are_deep_multiples():
 def test_fermat_units_match_oracle():
     for p, k in [(5, 2), (5, 3), (7, 3)]:
         mod = make_modulus(p, k)
-        f = set(pth_power_members(mod))
+        f = oracles.naive_pth_powers(p, k)
         want = oracles.naive_unit_pairsums(f, p, mod.modulus)
         assert fermat_pairsum_count(mod).observed == len(want)
 

@@ -2,9 +2,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pkcore.corefst import core_by_recurrence, fst_carry, recurrence_step_identity
-from pkcore.corefst import build_core_table
-from pkcore.modring import base_p_encode, core_order, is_core, make_modulus, split_order
+from pkcore.corefst import build_core_table, recurrence_step_identity
+from pkcore.modring import base_p_encode, core_order, make_modulus, split_order
 from pkcore.primes import primes_in_range
 
 SMALL_PRIMES = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -29,7 +28,8 @@ def test_lagrange(p, k, seed):
 @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 100))
 def test_recurrence_is_direct_power(p, k, n_seed):
     n = n_seed % (p - 1) + 1
-    assert core_by_recurrence(p, n, k) == pow(n, p ** (k - 1), p**k)
+    direct = pow(n, p ** (k - 1), p**k)
+    assert oracles.core_by_recurrence(p, n, k) == direct == build_core_table(make_modulus(p, k)).core[n - 1]
 
 
 @given(SMALL_PRIMES, st.integers(1, 100), st.integers(1, 4))
@@ -41,14 +41,14 @@ def test_step_identity(p, n_seed, i):
 @given(SMALL_PRIMES, st.integers(1, 100))
 def test_carry_in_range(p, n_seed):
     n = n_seed % (p - 1) + 1
-    assert 0 <= fst_carry(p, n) < p
+    assert 0 <= build_core_table(make_modulus(p, 2)).carries[n - 1] < p
 
 
 @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 100))
 def test_core_odd_symmetry(p, k, n_seed):
     n = n_seed % (p - 1) + 1
-    m = p**k
-    assert (core_by_recurrence(p, n, k) + core_by_recurrence(p, p - n, k)) % m == 0
+    core = build_core_table(make_modulus(p, k)).core
+    assert (core[n - 1] + core[p - n - 1]) % p**k == 0
 
 
 @settings(max_examples=60)
@@ -62,7 +62,7 @@ def test_core_factor_is_idempotent_part(p, k, seed):
     core = table.core[x % p - 1]
     ext = x * pow(core, -1, mod.modulus) % mod.modulus
     assert core * ext % mod.modulus == x % mod.modulus
-    assert is_core(mod, core)
+    assert pow(core, p, mod.modulus) == core
     assert pow(ext, p ** (k - 1), mod.modulus) == 1
     # the split is unique: a core element splits as (core, 1)
     assert table.core[core % p - 1] == core
