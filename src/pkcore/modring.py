@@ -53,11 +53,6 @@ class PrimePowerModulus:
     modulus: int
     units_order: int
 
-    @property
-    def pth_power_order(self) -> int:
-        """|F_k|: (p-1)*p^(k-2) for k >= 2, and p-1 at k = 1."""
-        return self.units_order // self.p if self.k >= 2 else self.units_order
-
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"PrimePowerModulus(p={self.p}, k={self.k})"
 

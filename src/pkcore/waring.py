@@ -18,8 +18,17 @@ is first read. F ∩ [1, q) = A_q, so scanning A_q ascending finds the
 same witness as scanning F ascending. That scan reads only x mod q,
 so a witness's first t-1 summands depend only on the class of x mod q
 (the shared prefix) and only the last one, x minus their sum mod p^k,
-depends on x itself: verify_multiples_of_p searches once per class
-mod q, at most p times, rather than once per multiple of p.
+depends on x itself: verify_multiples_of_p walks the multiples of p one
+class mod q at a time, searching once per class, at most p times.
+
+Every summand of every witness is checked to lie in F by its carry:
+x is in F exactly when x^(p-1) = 1 mod q, one pow with a small exponent
+mod q in place of x^|F| mod p^k. For k >= 2, F is the preimage of A_2
+(above), and A_2 is the kernel of z -> z^(p-1) on the cyclic unit group
+G_2 of order (p-1)p: its elements are those with carry n' = 0 in
+n^(p-1) = n'p + 1 mod p^2. For k = 1, F is every unit mod p (Fermat).
+A non-unit x gives x^(p-1) = 0 mod p, never 1. So the test accepts
+exactly the residues of F.
 
 Multiples of p decompose in two regimes. A first-shell multiple mp with
 m not divisible by p is a three-summand sum: some positive triple
@@ -164,7 +173,8 @@ def _witness_prefix(mod: PrimePowerModulus, small: ReducedSumsets, r: int) -> tu
 
     Each is the smallest element of A_q that leaves a remainder in the
     level below. The search reads only x mod q, so one prefix serves the
-    whole class, and its summands are checked to lie in F here, once.
+    whole class, and its summands are checked to lie in F here, once,
+    by the carry test (module docstring).
     The caller has checked that r is in S_t.
     """
     q, base, levels = small
@@ -178,8 +188,7 @@ def _witness_prefix(mod: PrimePowerModulus, small: ReducedSumsets, r: int) -> tu
                 break
         else:  # pragma: no cover - contradicts the level invariant
             raise CheckFailure("witness search lost a marked residue")
-    m, f_order = mod.modulus, mod.pth_power_order
-    if any(pow(v, f_order, m) != 1 for v in parts):
+    if any(pow(v, mod.p - 1, q) != 1 for v in parts):
         raise CheckFailure("invalid witness prefix produced")
     return tuple(parts)
 
@@ -201,8 +210,8 @@ def decompose_residue(mod: PrimePowerModulus, x: int, t: int) -> tuple[int, ...]
         raise NoTripleFound(f"{x} is not a sum of {t} p-th power residues mod {m}")
     prefix = _witness_prefix(mod, small, x % q)
     last = (x - sum(prefix)) % m
-    if pow(last, mod.pth_power_order, m) != 1:
-        raise CheckFailure("invalid witness produced")  # pragma: no cover
+    if pow(last, mod.p - 1, q) != 1:
+        raise CheckFailure("invalid witness produced")
     return prefix + (last,)
 
 
@@ -230,44 +239,42 @@ def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
     """Which nonzero multiples of p are in F+3, each one checked.
 
     Returns witnesses (three p-th power summands) for every covered
-    multiple, each the one decompose_residue(mod, x, 3) gives: the first
-    two summands are searched once per class mod q, and every summand of
-    every witness is checked to lie in F. The uncovered multiples, when
-    any, are nonzero multiples of p^2 and are verified to be two-summand
-    sums instead. It walks all p^(k-1) multiples of p: O(p^(k-1)) time,
-    and memory for as many witnesses.
+    multiple, each the one decompose_residue(mod, x, 3) gives. It walks
+    the multiples of p one class r = 0, p, ..., q-p mod q at a time: the
+    first two summands are searched once per covered class, and every
+    witness's last summand is checked to lie in F by its own carry test.
+    The witnesses are keyed in class order, not ascending; missing is
+    ascending. The uncovered multiples, when any, are nonzero multiples
+    of p^2 and are verified to be two-summand sums instead. It walks all
+    p^(k-1) multiples of p: O(p^(k-1)) time, and memory for as many
+    witnesses.
     """
     if mod.k < 2:
         raise OutOfRange("sumset analysis needs k >= 2")
     m, p = mod.modulus, mod.p
     small = reduced_sumsets(mod, 3)
     q, _, levels = small
-    f_order = mod.pth_power_order
-    missing = []
+    uncovered = []  # the classes mod q outside S_3 that hold a nonzero multiple
     witnesses: dict[int, tuple[int, int, int]] = {}
-    prefixes: dict[int, tuple[int, ...]] = {}  # class mod q -> (v1, v2)
-    first_shell_ok = True
-    for x in range(p, m, p):
-        r = x % q
-        if levels[2] >> r & 1:
-            prefix = prefixes.get(r)
-            if prefix is None:
-                prefix = prefixes[r] = _witness_prefix(mod, small, r)
-            v1, v2 = prefix
+    for r in range(0, q, p):
+        xs = range(r or q, m, q)  # the nonzero multiples of p in class r; none for r = 0 at k = 2
+        if not xs:
+            continue
+        if not levels[2] >> r & 1:
+            uncovered.append(r)
+            continue
+        v1, v2 = _witness_prefix(mod, small, r)
+        for x in xs:
             last = (x - v1 - v2) % m
-            if pow(last, f_order, m) != 1:
-                raise CheckFailure("invalid witness produced")  # pragma: no cover
+            if pow(last, p - 1, q) != 1:
+                raise CheckFailure("invalid witness produced")
             witnesses[x] = (v1, v2, last)
-        else:
-            missing.append(x)
-            if x % (p * p):
-                first_shell_ok = False
     return MultiplesReport(
         mod=mod,
-        all_covered=not missing,
-        first_shell_covered=first_shell_ok,
-        missing=tuple(missing),
-        missing_in_two_sums=all(levels[1] >> (x % q) & 1 for x in missing),
+        all_covered=not uncovered,
+        first_shell_covered=not any(uncovered),  # class 0 holds the multiples of p^2
+        missing=tuple(sorted(x for r in uncovered for x in range(r or q, m, q))),
+        missing_in_two_sums=all(levels[1] >> r & 1 for r in uncovered),
         witnesses=witnesses,
     )
 

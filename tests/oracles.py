@@ -259,6 +259,44 @@ def bitset_multiples(p: int, k: int) -> dict:
     }
 
 
+# The walk pkcore.waring.verify_multiples_of_p took before it went one class
+# mod q at a time: one ascending pass over the multiples of p, each class's
+# prefix searched when the class is first seen, and every summand tested for
+# F by its order, x^|F| = 1 mod p^k with |F| = (p-1)*p^(k-2).
+
+
+def per_x_multiples(p: int, k: int) -> dict:
+    """The fields of waring.MultiplesReport, by the per-multiple walk."""
+    # imported here: perfbench's harness imports this module without pkcore
+    from pkcore import waring
+    from pkcore.modring import make_modulus
+
+    mod = make_modulus(p, k)
+    m, f_order = p**k, (p - 1) * p ** (k - 2)
+    small = waring.reduced_sumsets(mod, 3)
+    q, _, levels = small
+    missing, witnesses, prefixes = [], {}, {}
+    for x in range(p, m, p):
+        r = x % q
+        if levels[2] >> r & 1:
+            if r not in prefixes:
+                prefixes[r] = waring._witness_prefix(mod, small, r)
+                assert all(pow(v, f_order, m) == 1 for v in prefixes[r]), (p, k, r)
+            v1, v2 = prefixes[r]
+            last = (x - v1 - v2) % m
+            assert pow(last, f_order, m) == 1, (p, k, x)
+            witnesses[x] = (v1, v2, last)
+        else:
+            missing.append(x)
+    return {
+        "all_covered": not missing,
+        "first_shell_covered": all(x % (p * p) == 0 for x in missing),
+        "missing": tuple(missing),
+        "missing_in_two_sums": all(levels[1] >> (x % q) & 1 for x in missing),
+        "witnesses": witnesses,
+    }
+
+
 def fermat_pairsum_counts(p: int, k: int) -> tuple[int, int]:
     """(unit sums, nonzero non-unit sums) in F+F, from the bitset of F+F."""
     m = p**k

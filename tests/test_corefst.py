@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from array import array
 
@@ -56,6 +58,26 @@ def test_step_identity():
         for n in range(1, p):
             for i in (1, 2, 3):
                 assert recurrence_step_identity(p, n, i), (p, n, i)
+        for n in (0, p):  # no carry row; n = 0 would read the last one
+            with pytest.raises(OutOfRange):
+                recurrence_step_identity(p, n, 1)
+
+
+def test_step_identity_fails_on_a_wrong_carry(monkeypatch):
+    # a carry off by one changes the right side by n^(p^(i-1)) * p^i, a
+    # nonzero multiple of p^i mod p^(i+1); a check mod a lower power of p
+    # would not see it
+    real = corefst.build_core_table
+
+    def carries_off_by_one(mod):
+        table = real(mod)
+        return dataclasses.replace(table, carries=tuple((c + 1) % mod.p for c in table.carries))
+
+    monkeypatch.setattr(corefst, "build_core_table", carries_off_by_one)
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, p):
+            for i in (1, 2, 3):
+                assert not recurrence_step_identity(p, n, i), (p, n, i)
 
 
 def test_core_table_11_3_golden():
@@ -227,6 +249,18 @@ def test_bare_p_entry_points_reject_composites():
 def test_integer_increments_validation():
     with pytest.raises(OutOfRange):
         integer_increments(11, 0, 3)
+
+
+def test_equivalence_level_multiset_golden():
+    # each pair's level is the p-adic valuation, capped at 4, of the exact
+    # integer difference e_1(n) - e_1(m)
+    p, cap = 11, 4
+    e1 = {n: (n + 1) ** p - n**p for n in range(1, 6)}
+    want = sorted(
+        max(j for j in range(cap + 1) if (e1[n] - e1[m]) % p**j == 0)
+        for n, m in itertools.combinations(e1, 2)
+    )
+    assert equivalence_level_multiset(p, 1, cap) == want == [1] * 9 + [2]
 
 
 def test_equivalence_level_multiset_preserved():

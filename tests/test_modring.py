@@ -31,7 +31,6 @@ def test_oversize_named_by_p_and_k_not_by_value():
 def test_orders():
     mod = make_modulus(11, 3)
     assert mod.units_order == 10 * 121
-    assert mod.pth_power_order == 110
     assert len(set(build_core_table(mod).core)) == 10
     assert len(oracles.naive_extension_members(11, 3, 1)) == 110
 

@@ -140,8 +140,8 @@ def test_extension_members_are_core_preimages():
 
 def test_extension_level_range():
     mod = make_modulus(7, 3)
-    for e in (-1, 3):
-        with pytest.raises(BadExponent):
+    for e in (-1, mod.k):  # the check's own refusal, not make_modulus's of p^(k-e)
+        with pytest.raises(BadExponent, match="extension level"):
             extension_pairsum_check(mod, e)
     # X^(1) mod 11^8 is the preimage of A mod 11^7: the check reads the smaller core table
     big = extension_pairsum_check(make_modulus(11, 8), 1)

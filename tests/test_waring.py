@@ -210,20 +210,62 @@ def test_multiples_witnesses_match_decompose():
 
 def test_witness_self_check_fires(monkeypatch):
     # a non-member at the head of the base becomes the first summand of
-    # some prefix; the levels stay true, so only the prefix check sees it
-    mod = make_modulus(7, 3)
-    assert 2 not in oracles.naive_pth_powers(7, 3)
+    # some prefix; the levels stay true, so only the prefix check sees it.
+    # At k = 2 the non-member 2 is a unit, so a check mod p would pass it
+    real = waring.reduced_sumsets
+    for k, bad in [(1, 0), (2, 2), (3, 2)]:
+        mod = make_modulus(7, k)
+        assert bad not in oracles.naive_pth_powers(7, k)
+
+        def corrupt(mod, max_t):
+            small = real(mod, max_t)
+            return small._replace(base=(bad,) + small.base)
+
+        monkeypatch.setattr(waring, "reduced_sumsets", corrupt)
+        if k >= 2:
+            with pytest.raises(CheckFailure):
+                verify_multiples_of_p(mod)
+        with pytest.raises(CheckFailure):
+            decompose_residue(mod, 14, 3)
+
+
+def test_last_summand_check_fires(monkeypatch):
+    # a level 1 that marks every class makes the prefix end on the smallest
+    # base element, so the last summand falls outside F in some class; only
+    # the last-summand check sees it
     real = waring.reduced_sumsets
 
     def corrupt(mod, max_t):
         small = real(mod, max_t)
-        return small._replace(base=(2,) + small.base)
+        return small._replace(levels=((1 << small.q) - 1,) + small.levels[1:])
 
     monkeypatch.setattr(waring, "reduced_sumsets", corrupt)
-    with pytest.raises(CheckFailure):
-        verify_multiples_of_p(mod)
-    with pytest.raises(CheckFailure):
-        decompose_residue(mod, 14, 3)
+    for k in (2, 3):
+        mod = make_modulus(7, k)
+        with pytest.raises(CheckFailure, match="invalid witness produced"):
+            verify_multiples_of_p(mod)
+        with pytest.raises(CheckFailure, match="invalid witness produced"):
+            decompose_residue(mod, 14, 3)
+
+
+def test_carry_test_decides_f_membership():
+    # x is in F exactly when x^(p-1) = 1 mod p^min(k, 2), the test every
+    # in-product witness check applies
+    for p in [p for p in SMALL_PRIMES if p < 60]:
+        for k in range(1, 5):
+            if p**k > 2 * 10**5:
+                break
+            q = p ** min(k, 2)
+            f = {x for x in range(p**k) if pow(x, p - 1, q) == 1}
+            assert f == oracles.naive_pth_powers(p, k), (p, k)
+
+
+def test_class_walk_matches_per_x_walk():
+    # the class-by-class walk against the per-multiple walk it replaced
+    for p, k in [(p, k) for p in SMALL_PRIMES for k in range(2, 14) if p**k <= 10**6]:
+        v = verify_multiples_of_p(make_modulus(p, k))
+        want = oracles.per_x_multiples(p, k)
+        assert {name: getattr(v, name) for name in want} == want, (p, k)
 
 
 def test_sumset_input_validation():
@@ -248,7 +290,7 @@ def test_unbounded_descriptor_answers():
     for x in (0, 1, 11, 121, 11**7, 123456789, 11**8 - 1):
         summands = decompose_residue(big, x, 4)
         assert sum(summands) % big.modulus == x
-        assert all(pow(s, big.pth_power_order, big.modulus) == 1 for s in summands), x
+        assert all(pow(s, 10 * 11**6, big.modulus) == 1 for s in summands), x  # |F| = (p-1)p^(k-2)
 
 
 @lru_cache(maxsize=None)
