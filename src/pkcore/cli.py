@@ -6,11 +6,11 @@ Report (command, p, k, rows) and renders it as human text (residues in
 base-p), jsonl (one self-describing record per row), or csv. Timing
 goes to stderr so stdout stays stable.
 
-A report's jsonl is one json.dumps of its list of records, cut into
-lines at '}, {"schema_version": ', the text between two records. No
-row holds that text (strings escape their quotes, and no command emits
-a list of objects); render_jsonl checks that it cut exactly one line per
-row and raises ValueError otherwise, so a miss is never silent.
+A report's jsonl is one json.dumps of its rows, each line a row's text
+behind the meta prefix, encoded once; else one json.dumps of the records
+meta | row, cut into lines at '}, {"schema_version": '. render_jsonl
+checks that it cut exactly one line per row and raises ValueError
+otherwise, so a miss is never silent.
 
 kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
 --checkpoint for scans): the Wieferich scan through its batched block
@@ -138,21 +138,22 @@ _LINE_SEP = '}\n{"schema_version": '
 def render_jsonl(report: Report) -> str:
     """One line per row, meta | row, or one {"rows": 0} record when empty.
 
-    The records are encoded by one json.dumps of their list and cut at
-    _RECORD_SEP: json.dumps's default separators put "}, {" between two
-    records, and meta | row keeps schema_version first. A string value
-    cannot hold the separator (its quotes are escaped) and no command
-    emits a list of objects, so each cut falls between two records. The
-    guard: a row that holds the separator anyway gives more pieces than
+    The rows are encoded by one json.dumps of their list, whose default
+    separators put "}, {" between two rows. When only those boundaries
+    hold "}, {" and every row is non-empty and free of meta keys, each
+    line is the meta prefix '{"schema_version": 1, ..., "k": K, ', encoded
+    once, and a row's text. Otherwise (kp, scan and waring rows carry p
+    or k) the records meta | row are encoded and cut at _RECORD_SEP: a
+    string cannot hold it (its quotes are escaped) and no command emits a
+    list of objects, so a row that holds it anyway gives more pieces than
     records, and raises ValueError.
     """
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": report.command,
-        "p": report.p,
-        "k": report.k,
-    }
+    meta = {"schema_version": SCHEMA_VERSION, "command": report.command, "p": report.p, "k": report.k}
     rows = report.rows or [{"rows": 0}]
+    text = json.dumps(rows)
+    if text.count("}, {") == len(rows) - 1 and all(rows) and all(map(meta.keys().isdisjoint, rows)):
+        head = json.dumps(meta)[:-1] + ", "
+        return head + text[2:-2].replace("}, {", "}\n" + head) + "}\n"
     records = json.dumps([meta | row for row in rows])[1:-1].split(_RECORD_SEP)
     if len(records) != len(rows):
         raise ValueError(f"a {report.command} row holds the jsonl record separator {_RECORD_SEP!r}")

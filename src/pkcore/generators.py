@@ -13,24 +13,25 @@ scan factor p^2-1 as (p-1)(p+1). Also here: base-b Wieferich-type scans
 the generator survey over divisors of p-1 and p+1.
 
 The audit and the survey walk the divisor lattice of the factored
-number: every divisor r comes with r^(p-1) mod p^k at one multiply per
-step and one pow per prime factor, since n -> n^(p-1) is multiplicative.
-One walker (_lattice) yields plain values in lattice order; it runs once
-with weights q for the divisors and once with weights q^(p-1) mod m for
-the powers, and the two lists zip into (r, r^(p-1)) pairs. The exception
-scan walks the powers alone and walks the divisors only for the few
-primes that have an exceptional one. Orders come from the split
+number: every divisor r comes with w = r^(p-1) mod p^2 at one multiply
+per step and one pow per prime factor, since n -> n^(p-1) is
+multiplicative. One walker (_lattice) yields plain values in lattice
+order; it runs once with weights q for the divisors and once with
+weights q^(p-1) mod p^2 for the powers, zipped into (r, w) pairs. The
+exception scan walks the powers alone and walks the divisors only for
+the few primes that have an exceptional one. Orders come from the split
 G_k = A_k * B_k (modring.split_order):
-ord(r) = ord(r mod p) * p^(k - v_p(r^(p-1) - 1)), or ord(r mod p) when
-r^(p-1) = 1. The audited n = p^2 - 1 is -1 mod p, so each cofactor
-pair has r * (n/r) = -1 mod p and ord(n/r mod p) = ord(-r mod p), which
-the partner rule (modring) reads off d = ord(r mod p): 2d for odd d,
-d/2 for d = 2 mod 4, d for 4 | d, since -1 is the one involution of the
-cyclic group mod p. The audit walks the divisors ascending and runs
-modring.core_order's peel only on the smaller member of each pair.
-DivisorAudit and GeneratorVerdict are slotted, mutable dataclasses,
-built positionally: a frozen one pays object.__setattr__ per field, and
-the audit builds one record per divisor.
+ord(r) = ord(r mod p) * p^(k - v_p(r^(p-1) - 1)). w = 1 mod p, so
+w != 1 gives ord(r mod p) * p^(k-1); only w = 1 (a zero carry: r = p^2-1
+or r exceptional) takes one pow mod p^k. The audited n = p^2 - 1 is
+-1 mod p, so each cofactor pair has r * (n/r) = -1 mod p and
+ord(n/r mod p) = ord(-r mod p), which the partner rule (modring) reads
+off d = ord(r mod p): 2d for odd d, d/2 for d = 2 mod 4, d for 4 | d,
+since -1 is the one involution of the cyclic group mod p. The audit
+walks the divisors ascending and runs modring.core_order's peel only on
+the smaller member of each pair. DivisorAudit and GeneratorVerdict are
+slotted, mutable dataclasses, built positionally: a frozen one pays
+object.__setattr__ per field, and the audit builds one record per divisor.
 
 Every per-prime survey (these scans, the CLI's kp and note4) runs on
 scan_primes, the one prime loop: ordered blocks, a process pool under
@@ -145,31 +146,30 @@ def audit_divisors(p: int, assert_non_core: bool = True) -> list[DivisorAudit]:
     CheckFailure. The mod-p^2 flag is informational; exceptional cases are
     the non-sign-trivial ones (DivisorAudit.exceptional).
 
-    r^p = r^(p-1) * r mod p^3, and the order in G_3 is split_order's
-    ord(r mod p) * ord(r^(p-1)), so no divisor costs a pow mod p^3; the
-    divisors and their (p-1)-th powers come off the lattice of p-1 and
-    p+1 (module docstring). The walk is ascending, so it meets the smaller
-    member r of each cofactor pair first: r * (n/r) = -1 mod p, so the
-    partner rule (modring) gives ord(n/r mod p) from ord(r mod p), stored
-    until the walk reaches n/r. Only the smaller half of the divisors runs
-    core_order's peel.
+    r^p = r mod p^j exactly when r^(p-1) = 1 mod p^j (r is a unit). With
+    w = r^(p-1) mod p^2 off the lattice (module docstring), w != 1 means
+    core mod neither p^2 nor p^3 and order d * p^2 in G_3, d = ord(r mod
+    p); only w = 1 (r = p^2-1, exceptional r) pays one pow mod p^3, for
+    the mod-p^3 flag and an order of d or d * p. The walk is ascending,
+    so it meets the smaller member r of each cofactor pair first:
+    r * (n/r) = -1 mod p, so the partner rule (modring) gives
+    ord(n/r mod p) from ord(r mod p), stored until the walk reaches n/r.
+    Only the smaller half of the divisors runs core_order's peel.
     """
     make_modulus(p, 3)  # validates p
-    n, p2, p3 = p * p - 1, p * p, p ** 3
+    n, p2 = p * p - 1, p * p
     partner: dict[int, int] = {}  # n/r -> ord(n/r mod p), for r already walked
     audits = []
-    for r, w in sorted(_divisor_powers(p, _p2_minus_1_factorization(p), p3))[1:]:
+    for r, w in sorted(_divisor_powers(p, _p2_minus_1_factorization(p), p2))[1:]:
         s = n // r
         d = partner.pop(r, 0)
         if not d:
             d = core_order(p, r)
             partner[s] = 2 * d if d & 1 else d // 2 if d & 3 == 2 else d
-        rp3 = w * r % p3
-        r2 = r % p2
-        audit = DivisorAudit(
-            p, r, s, split_order(p, 3, d, w), rp3 % p2 == r2, rp3 == r % p3, r2 == 1 or r2 == p2 - 1,
-        )
-        if assert_non_core and audit.is_core_mod_p3:
+        core3 = w == 1 and pow(r, p - 1, p2 * p) == 1
+        order = d * p2 if w != 1 else d if core3 else d * p
+        audit = DivisorAudit(p, r, s, order, w == 1, core3, r == n)  # 1 < r < p^2: only n is +-1
+        if assert_non_core and core3:
             raise CheckFailure(f"divisor {r} of {p}^2-1 is core mod {p}^3")
         audits.append(audit)
     return audits
@@ -364,14 +364,16 @@ def survey_pm1_generators(p: int, k: int) -> GeneratorSurvey:
     is cyclic of even order, so -1 is its only element of order 2, and
     the cyclic group <g> of order t holds an element of order 2 iff t is
     even; that element is g^(t/2), so it is -1. The divisors and their
-    orders come off the lattices of p-1 and p+1 (module docstring).
+    w = g^(p-1) mod p^2 come off the lattices of p-1 and p+1, and only
+    w = 1 pays a pow mod p^k (module docstring).
     """
     mod = make_modulus(p, k)
     m, full = mod.modulus, mod.units_order
-    powers = dict(_divisor_powers(p, factorize(p - 1), m) + _divisor_powers(p, factorize(p + 1), m))
+    powers = dict(_divisor_powers(p, factorize(p - 1), p * p) + _divisor_powers(p, factorize(p + 1), p * p))
     verdicts = []
     for g in sorted(powers)[1:]:  # every g > 1; both lattices hold 1 and 2
-        order = split_order(p, k, core_order(p, g), powers[g])
+        d = core_order(p, g)
+        order = d * p ** (k - 1) if powers[g] != 1 else split_order(p, k, d, pow(g, p - 1, m))
         if order == full:
             klass = "primitiveRoot"
         elif order * 2 == full:

@@ -9,7 +9,8 @@ by p^(k-e)+1; X^(k-2) is the subgroup of p-th power residues F_k.
 
 Here live the moduli and orders; A_k and the base of F_k are read off
 corefst's core table. make_modulus builds a descriptor at any
-size; the CLI's size check on (p, k) is cli.cell_modulus. A residue is a
+size, once per (p, k) (a refusal is never cached: it raises on every
+call); the CLI's size check on (p, k) is cli.cell_modulus. A residue is a
 plain int in [0, p^k): base_p_encode takes (mod, x) and reduces any
 int x mod p^k itself. An order is read off the split:
 the order d of r mod p (core_order, a peel of the primes of p-1 mod p)
@@ -60,6 +61,11 @@ class PrimePowerModulus:
 def make_modulus(p: int, k: int) -> PrimePowerModulus:
     """Validate (p, k) and build the descriptor, at any size. Two descriptors
     of one modulus are equal, and share their cached tables."""
+    return _modulus(p, k)  # a plain function: the tracer and tests/test_surface.py see functions only
+
+
+@lru_cache(maxsize=1024)
+def _modulus(p: int, k: int) -> PrimePowerModulus:
     if p == 2:
         raise EvenPrime("p = 2 is not supported (unit group not cyclic for k >= 3)")
     if not is_prime(p):

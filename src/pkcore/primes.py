@@ -1,6 +1,7 @@
 """Primality, the prime sieve, and integer factorization.
 
-Deterministic Miller-Rabin below 2^64 (fixed witness set), Baillie-PSW
+Trial division by the primes up to 47 decides every n below 53^2;
+deterministic Miller-Rabin below 2^64 (fixed witness set), Baillie-PSW
 above. Factorization is trial division to a bound, then Pollard rho with
 Brent's cycle detection; a cofactor left once trial division has passed
 its square root is prime and is not tested again. primes_in_range is
@@ -113,6 +114,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 2809:  # 53^2: no prime factor up to 47, so none up to sqrt(n)
+        return True
     if n < 2 ** 64:
         return _miller_rabin(n, _MR_WITNESSES_64)
     # BPSW: base-2 strong probable prime + strong Lucas

@@ -150,6 +150,52 @@ def naive_survey_pm1_generators(p: int, k: int) -> tuple[list[dict], bool]:
     return verdicts, any(v["klass"] != "other" for v in verdicts)
 
 
+# The walks pkcore.generators took before it read orders off r^(p-1) mod p^2:
+# the divisor lattice mod p^3 for the audit and mod p^k for the survey, every
+# order by split_order and both audit core flags from r^p mod p^3.
+
+
+def p3_lattice_audit_divisors(p: int, assert_non_core: bool = True) -> list:
+    """generators.audit_divisors's DivisorAudit records, from the lattice mod p^3."""
+    # imported here: perfbench's harness imports this module without pkcore
+    from pkcore.errors import CheckFailure
+    from pkcore.generators import DivisorAudit, _divisor_powers, _p2_minus_1_factorization
+    from pkcore.modring import core_order, make_modulus, split_order
+
+    make_modulus(p, 3)
+    n, p2, p3 = p * p - 1, p * p, p**3
+    partner, audits = {}, []
+    for r, w in sorted(_divisor_powers(p, _p2_minus_1_factorization(p), p3))[1:]:
+        s = n // r
+        d = partner.pop(r, 0)
+        if not d:
+            d = core_order(p, r)
+            partner[s] = 2 * d if d & 1 else d // 2 if d & 3 == 2 else d
+        rp3, r2 = w * r % p3, r % p2
+        audit = DivisorAudit(p, r, s, split_order(p, 3, d, w), rp3 % p2 == r2, rp3 == r % p3, r2 in (1, p2 - 1))
+        if assert_non_core and audit.is_core_mod_p3:
+            raise CheckFailure(f"divisor {r} of {p}^2-1 is core mod {p}^3")
+        audits.append(audit)
+    return audits
+
+
+def pk_lattice_survey_pm1_generators(p: int, k: int):
+    """generators.survey_pm1_generators's GeneratorSurvey, from the lattices mod p^k."""
+    from pkcore.generators import GeneratorSurvey, GeneratorVerdict, _divisor_powers
+    from pkcore.modring import core_order, make_modulus, split_order
+    from pkcore.primes import factorize
+
+    mod = make_modulus(p, k)
+    m, full = mod.modulus, mod.units_order
+    powers = dict(_divisor_powers(p, factorize(p - 1), m) + _divisor_powers(p, factorize(p + 1), m))
+    verdicts = []
+    for g in sorted(powers)[1:]:
+        order = split_order(p, k, core_order(p, g), powers[g])
+        klass = "primitiveRoot" if order == full else "halfGroupNoMinusOne" if order * 2 == full else "other"
+        verdicts.append(GeneratorVerdict(p, k, g, order, klass, order % 2 == 0))
+    return GeneratorSurvey(p, k, tuple(verdicts), any(v.klass != "other" for v in verdicts))
+
+
 def naive_sum_levels(p: int, k: int, t_max: int = 4) -> dict[int, set[int]]:
     """t-fold sumsets of the p-th power residues, exhaustively."""
     m = p**k

@@ -551,20 +551,40 @@ def test_decompose_searches_once_per_call(monkeypatch, capsys):
             seen |= levels[t]
 
 
-TRICKY_REPORTS = [
+# every row non-empty, free of meta keys, and "}, {" only between rows: the meta prefix is encoded once
+PREFIX_REPORTS = [
+    Report("divisors", [{"r": 2, "cofactor": 60, "core_mod_p2": False}, {"r": 120, "classification": "regular"}], p=11),
+    Report("decompose", [{"residue": 7, "level": 2, "summands": [1, 6]}], p=5, k=2),
+    Report("x", [{"d": {"1": 2}, "v": [[1], []]}, {"s": "{x}, [y]", "e": {}}, {"\u00e9": 1.5, "n": None}], p=3, k=1),
+    Report("scan", []),
+]
+# "}, {" inside a row, an empty row, a row carrying p: one json.dumps of meta | row per report
+FALLBACK_REPORTS = [
+    Report("x", [{"a": 1}, {"s": "}, {"}, {"b": [{}, {}]}], p=7, k=3),
+    Report("x", [{"a": 1}, {}], p=7, k=3),
+    Report("x", [{"a": 1}, {"p": 13, "b": 2}], p=7, k=3),
+]
+TRICKY_REPORTS = PREFIX_REPORTS + FALLBACK_REPORTS + [
     Report("x", [{"s": s} for s in ('say "hi"', "two\nlines", "}, {", '}, {"schema_version": 1', "\\\"")], p=5, k=2),
     Report("kp", [{"p": 7, "kp": 2, "profile": {"2": 3}}, {"p": 11, "k": 3, "warning": "}, {"}]),
     Report("waring", [{"p": 3, "k": 4, "counts": {"1": 18}}, {"residue": 0, "summands": [1, 80]}], p=3, k=4),
     Report("x", [{}], p=3, k=2),
     Report("x", [{}, {"v": [], "d": {}}, {}]),
-    Report("scan", []),
     Report("divisors", [], p=11),
 ]
 
 
 def test_render_jsonl_matches_per_row_reference(monkeypatch, capsys):
+    dumped = []  # what render_jsonl encodes: a meta dict only on the prefix path
+    real_dumps = json.dumps
+    monkeypatch.setattr(pkcore.cli.json, "dumps", lambda obj: dumped.append(obj) or real_dumps(obj))
     for report in TRICKY_REPORTS:
-        assert render_jsonl(report) == oracles.naive_render_jsonl(report), report
+        dumped.clear()
+        got = render_jsonl(report)
+        if report in PREFIX_REPORTS + FALLBACK_REPORTS:
+            assert any(isinstance(obj, dict) for obj in dumped) == (report in PREFIX_REPORTS), report
+        assert got == oracles.naive_render_jsonl(report), report
+    monkeypatch.undo()
     # a list of objects can hold the record separator: refused, never mis-cut
     for rows in ([{"v": [{"a": 1}, {"schema_version": 1}]}], [{}, {"v": [{}, {"schema_version": 2}]}, {}]):
         with pytest.raises(ValueError, match="separator"):

@@ -41,6 +41,19 @@ def test_audit_matches_per_divisor_oracle():
         assert got == oracles.naive_audit_divisors(p), p
 
 
+def test_audit_matches_mod_p3_lattice():
+    # records off r^(p-1) mod p^2 equal the walk mod p^3 for every prime below 2000, which
+    # holds every divisor with r^(p-1) = 1 mod p^2 below r = p^2-1, the one pow mod p^3 path
+    exceptional = []
+    for p in primes_in_range(3, 1999):
+        for assert_non_core in (True, False):
+            got = audit_divisors(p, assert_non_core)
+            assert got == oracles.p3_lattice_audit_divisors(p, assert_non_core), (p, assert_non_core)
+        if any(a.exceptional for a in got):
+            exceptional.append(p)
+    assert exceptional == [11, 29, 37, 181, 257, 269, 281, 313, 449, 829, 1093]
+
+
 def test_exceptional_pairing():
     audits = audit_divisors(11, assert_non_core=False)
     assert sorted(x.r for x in audits if x.exceptional) == [3, 40]
@@ -186,11 +199,18 @@ def test_survey_73():
 def test_survey_matches_oracle():
     # orders from sympy, and -1 in the cycle by the pow form g^(t/2) = -1
     for p in primes_in_range(3, 299):
-        for k in (2, 3, 4):
+        for k in (1, 2, 3, 4, 5):
             survey = survey_pm1_generators(p, k)
             verdicts, satisfied = oracles.naive_survey_pm1_generators(p, k)
             assert [dataclasses.asdict(v) for v in survey.verdicts] == verdicts, (p, k)
             assert survey.satisfied == satisfied
+
+
+def test_survey_matches_mod_pk_lattice():
+    # orders off g^(p-1) mod p^2 equal the walk mod p^k, g^(p-1) = 1 mod p^2 included
+    for p in primes_in_range(3, 1999):
+        for k in (1, 2, 3, 5):
+            assert survey_pm1_generators(p, k) == oracles.pk_lattice_survey_pm1_generators(p, k), (p, k)
 
 
 def test_survey_satisfied_small_range():

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -10,15 +11,19 @@ from pkcore.primes import primes_in_range
 
 
 def test_make_modulus_validation():
-    with pytest.raises(NotPrime):
-        make_modulus(4, 2)
-    with pytest.raises(NotPrime):
-        make_modulus(1, 2)
-    with pytest.raises(EvenPrime):
-        make_modulus(2, 3)
-    with pytest.raises(BadExponent):
-        make_modulus(5, 0)
+    for _ in range(2):  # the descriptor is memoised per (p, k); a refusal never is
+        with pytest.raises(NotPrime):
+            make_modulus(4, 2)
+        with pytest.raises(NotPrime):
+            make_modulus(1, 2)
+        with pytest.raises(EvenPrime):
+            make_modulus(2, 3)
+        with pytest.raises(BadExponent):
+            make_modulus(5, 0)
     assert make_modulus(11, 8).modulus == 11**8
+    assert make_modulus(11, 8) is make_modulus(11, 8)
+    # a plain function, so the tracer's modring.make_modulus.* metrics and tests/test_surface.py see it
+    assert inspect.isfunction(make_modulus)
 
 
 def test_oversize_named_by_p_and_k_not_by_value():

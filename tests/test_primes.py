@@ -18,7 +18,7 @@ def test_is_prime_small():
 
 def test_is_prime_hard_composites():
     # Carmichael numbers and strong pseudoprimes to small bases
-    for n in (561, 1105, 1729, 2465, 6601, 3215031751, 3825123056546413051):
+    for n in (561, 1105, 1729, 2047, 2465, 6601, 1373653, 25326001, 3215031751, 3825123056546413051):
         assert not is_prime(n), n
     # perfect squares near the BPSW path
     assert not is_prime((10**9 + 7) ** 2)
@@ -30,6 +30,8 @@ def test_is_prime_large_primes():
 
 
 def test_is_prime_matches_sympy():
+    # below 53^2 = 2809 trial division by the primes up to 47 decides alone
+    assert [is_prime(n) for n in range(-2, 10**4)] == [oracles.naive_is_prime(n) for n in range(-2, 10**4)]
     rng = random.Random(11)
     for _ in range(400):
         n = rng.randint(2, 10**7)
