@@ -7,10 +7,8 @@ base-p), jsonl (one self-describing record per row), or csv. Timing
 goes to stderr so stdout stays stable.
 
 A report's jsonl is one json.dumps of its rows, each line a row's text
-behind the meta prefix, encoded once; else one json.dumps of the records
-meta | row, cut into lines at '}, {"schema_version": '. render_jsonl
-checks that it cut exactly one line per row and raises ValueError
-otherwise, so a miss is never silent.
+behind the meta prefix, encoded once; else one json.dumps per record
+meta | row.
 
 kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
 --checkpoint for scans): the Wieferich scan through its batched block
@@ -65,7 +63,6 @@ from .errors import (
     PkcoreError,
 )
 from .modring import PrimePowerModulus, base_p_encode, make_modulus
-from .modring import _DIGITS as DIGIT_CHARS
 
 SCHEMA_VERSION = 1
 
@@ -105,8 +102,8 @@ def _fmt_value(command: str, key: str, value, mod) -> str:
             return base_p_encode(mod, value)
         if isinstance(value, (list, tuple)):
             return "+".join(base_p_encode(mod, v) for v in value)
-    if key == "carry" and mod is not None and mod.p <= 36:
-        return DIGIT_CHARS[value]
+    if key == "carry" and mod is not None:  # one base-p digit
+        return base_p_encode(make_modulus(mod.p, 1), value)
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, (list, tuple)):
@@ -131,10 +128,6 @@ def render_human(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RECORD_SEP = '}, {"schema_version": '
-_LINE_SEP = '}\n{"schema_version": '
-
-
 def render_jsonl(report: Report) -> str:
     """One line per row, meta | row, or one {"rows": 0} record when empty.
 
@@ -143,10 +136,7 @@ def render_jsonl(report: Report) -> str:
     hold "}, {" and every row is non-empty and free of meta keys, each
     line is the meta prefix '{"schema_version": 1, ..., "k": K, ', encoded
     once, and a row's text. Otherwise (kp, scan and waring rows carry p
-    or k) the records meta | row are encoded and cut at _RECORD_SEP: a
-    string cannot hold it (its quotes are escaped) and no command emits a
-    list of objects, so a row that holds it anyway gives more pieces than
-    records, and raises ValueError.
+    or k) each record meta | row is encoded on its own.
     """
     meta = {"schema_version": SCHEMA_VERSION, "command": report.command, "p": report.p, "k": report.k}
     rows = report.rows or [{"rows": 0}]
@@ -154,10 +144,7 @@ def render_jsonl(report: Report) -> str:
     if text.count("}, {") == len(rows) - 1 and all(rows) and all(map(meta.keys().isdisjoint, rows)):
         head = json.dumps(meta)[:-1] + ", "
         return head + text[2:-2].replace("}, {", "}\n" + head) + "}\n"
-    records = json.dumps([meta | row for row in rows])[1:-1].split(_RECORD_SEP)
-    if len(records) != len(rows):
-        raise ValueError(f"a {report.command} row holds the jsonl record separator {_RECORD_SEP!r}")
-    return _LINE_SEP.join(records) + "\n"
+    return "".join(json.dumps(meta | row) + "\n" for row in rows)
 
 
 def render_csv(report: Report) -> str:

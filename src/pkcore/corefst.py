@@ -16,8 +16,8 @@ differences e_1(n) = (n+1)^p - n^p: distinctness levels of the e_i are
 preserved from each i to the next, so the module computes K_p from e_1
 alone and the tests verify the preservation claim numerically. Only e_1
 mod p^K is needed, for a K at or above K_p, with K doubling from 4 until
-the h values separate, so there is no size limit on p. Every e_i table,
-here and in waring.h_triple_coresum, is one power_differences call.
+the h values separate, so there is no size limit on p. Every e_i table
+is one power_differences call.
 Each level k counts its distinct residues as the size of the set
 {e_1(n) mod p^k}; only the levels below K_p look for a witness,
 scanning n = 1..h ascending and stopping at the first repeated residue.
@@ -27,37 +27,18 @@ n. The exact integers (about p*log10(p) digits each) and the exhaustive
 scan survive only as a test oracle.
 build_core_table, memoised per modulus, is the one builder of A_k, its
 carries, its increments and D_k. F_k is the preimage of the core A_2,
-so its base A_q, q = p^min(k, 2) (pth_power_base), is read off the
-core table of q too; x is in F_k exactly when x mod q is in A_q.
+so waring reads its base A_q, q = p^min(k, 2), off the core table of q
+too; x is in F_k exactly when x mod q is in A_q.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CheckFailure, OutOfRange
 from .modring import PrimePowerModulus, make_modulus
 from .primes import power_table
-
-
-def recurrence_step_identity(p: int, n: int, i: int) -> bool:
-    """Check n^(p^i) = n^(p^(i-1)) * (n'p^i + 1) mod p^(i+1).
-
-    The identity relates full-precision values: the first factor must be
-    carried at the target precision p^(i+1). Truncating it to p^i digits
-    loses the top digit of the product, which is why the generation
-    ladder uses p-th powers instead of carry multiplies. n' is read off
-    the core table of p^2.
-    """
-    if not 1 <= n < p:
-        raise OutOfRange(f"need 1 <= n < p, got n={n}, p={p}")
-    carry = build_core_table(make_modulus(p, 2)).carries[n - 1]
-    m = p ** (i + 1)
-    lhs = pow(n, p ** i, m)
-    rhs = pow(n, p ** (i - 1), m) * (carry * p ** i + 1) % m
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -84,7 +65,7 @@ def build_core_table(mod: PrimePowerModulus) -> CoreTable:
 
     The only place the core is computed, as the power tables of
     n^(p^(k-1)) mod p^k and n^(p-1) mod p^2 (the carries); the CLI, F's
-    base, the pairsum counts and the claim checks all read it. No
+    base and the pairsum counts all read it. No
     extension X^(e) is built as a set: it is the preimage of the core of
     p^(k-e), so the pairsum counts read that table instead.
     """
@@ -108,19 +89,6 @@ def _core_table(mod: PrimePowerModulus) -> CoreTable:
         increments=increments,
         distinct_increments=frozenset(increments[1 : (p + 1) // 2]),
     )
-
-
-def pth_power_base(p: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """(q, A_q): q = p^min(k, 2) and the p-th powers of units mod q, ascending.
-
-    F_k is exactly the set of residues mod p^k whose reduction mod q lies
-    in A_q. Proof: (a + bp)^p = a^p mod p^2, so F_k mod p^2 lies in the
-    core A_2, and F_k and the preimage of A_2 both have (p-1)*p^(k-2)
-    elements. At k = 1, n^p = n mod p makes every unit a p-th power.
-    A_q is the core of q, read off its core table (1..p-1 at k = 1).
-    """
-    mod = make_modulus(p, min(k, 2))
-    return mod.modulus, tuple(sorted(build_core_table(mod).core))
 
 
 def power_differences(e: int, m: int, top: int) -> list[int]:
@@ -189,20 +157,3 @@ def integer_increments(p: int, i: int, k: int) -> list[int]:
     if k < 1:
         raise OutOfRange(f"need k >= 1, got {k}")
     return power_differences(p ** min(i, max(k - 1, 1)), p ** k, p - 1)
-
-
-def equivalence_level_multiset(p: int, i: int, k_cap: int) -> list[int]:
-    """For each non-symmetric pair n < m <= h: the largest j <= k_cap with
-    e_i(n) = e_i(m) mod p^j. The multiset is i-invariant (tested, not
-    assumed), which is what lets K_p be read off e_1."""
-    h = (p - 1) // 2
-    vals = integer_increments(p, i, k_cap)
-    out = []
-    # pairs within the first half are never mirror-symmetric (n+m <= p-2)
-    for n, m in itertools.combinations(range(1, h + 1), 2):
-        d = (vals[n - 1] - vals[m - 1]) % p ** k_cap
-        j = 0
-        while j < k_cap and d % p ** (j + 1) == 0:
-            j += 1
-        out.append(j)
-    return sorted(out)

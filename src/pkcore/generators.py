@@ -9,8 +9,7 @@ sign-trivial and kept out of the exception lists.
 
 audit_divisors audits the divisors of p^2-1, and it and the exception
 scan factor p^2-1 as (p-1)(p+1). Also here: base-b Wieferich-type scans
-(b^p = b mod p^2), the quadruple non-core checks for n in {2, 3}, and
-the generator survey over divisors of p-1 and p+1.
+(b^p = b mod p^2) and the generator survey over divisors of p-1 and p+1.
 
 The audit and the survey walk the divisor lattice of the factored
 number: every divisor r comes with w = r^(p-1) mod p^2 at one multiply
@@ -59,7 +58,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
-from .corefst import build_core_table
 from .errors import BadCheckpoint, CheckFailure, OutOfRange
 from .modring import core_order, make_modulus, split_order
 from .primes import factorize, primes_in_range
@@ -75,7 +73,6 @@ __all__ = [
     "wieferich_scan",
     "per_prime",
     "scan_primes",
-    "corollary_check",
     "survey_pm1_generators",
     "SCAN_BLOCK",
 ]
@@ -312,25 +309,6 @@ def scan_primes(
                     fh.write(json.dumps({"version": CHECKPOINT_VERSION, **ident, "next": end + 1}) + "\n")
                 os.replace(checkpoint + ".tmp", checkpoint)
     return out
-
-
-def corollary_check(p: int) -> bool:
-    """For n in {2, 3}: the quadruple {n, -n, 1/n, -1/n} mod p^k stays
-    outside the core for k in {3, 4}, and multiplying the quadruple into
-    the core never lands back in the core (spot-checked on 8 cores).
-    A unit y is core exactly when it is its row of the core table,
-    A_k(y mod p) = y."""
-    if p in (2, 3):
-        raise OutOfRange("needs p >= 5 so that 2 and 3 are units")
-    for k in (3, 4):
-        mod = make_modulus(p, k)
-        m, core = mod.modulus, build_core_table(mod).core
-        for n in (2, 3):
-            inv = pow(n, -1, m)
-            for x in (n, -n, inv, -inv):
-                if any(y % p and core[y % p - 1] == y for y in (x * a % m for a in (1, *core[:8]))):
-                    return False
-    return True
 
 
 @dataclass(slots=True)

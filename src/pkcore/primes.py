@@ -90,13 +90,14 @@ def _lucas_strong_probable(n: int) -> bool:
         k //= 2
         s += 1
 
-    # Lucas sequences by binary ladder
+    # Lucas sequences by binary ladder; n is odd, so 1/2 = (n+1)/2 mod n
+    half = (n + 1) // 2
     u, v, qk = 0, 2, 1
     for bit in bin(k)[2:]:
         u, v = u * v % n, (v * v - 2 * qk) % n
         qk = qk * qk % n
         if bit == "1":
-            u, v = (p * u + v) * pow(2, -1, n) % n, (d * u + p * v) * pow(2, -1, n) % n
+            u, v = (p * u + v) * half % n, (d * u + p * v) * half % n
             qk = qk * q % n
     if u == 0 or v == 0:
         return True

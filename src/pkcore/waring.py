@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .corefst import power_differences, pth_power_base
+from .corefst import build_core_table
 from .errors import CheckFailure, NoTripleFound, OutOfRange
 from .modring import PrimePowerModulus, make_modulus
 
@@ -58,11 +58,9 @@ __all__ = [
     "CoverageReport",
     "MultiplesReport",
     "ReducedSumsets",
-    "TripleWitness",
     "reduced_sumsets",
     "sumset_levels",
     "verify_multiples_of_p",
-    "h_triple_coresum",
     "decompose_residue",
     "least_decomposition",
 ]
@@ -84,8 +82,13 @@ def _bitset(values, q: int) -> int:
 
 @lru_cache(maxsize=4)  # an entry holds a few bitsets of q <= p^2 bits
 def _level_cache(p: int, e: int) -> ReducedSumsets:
-    """S_1 on Z/q, q = p^e, in a level list that reduced_sumsets extends in place."""
-    q, base = pth_power_base(p, e)
+    """S_1 on Z/q, q = p^e, in a level list that reduced_sumsets extends in place.
+
+    A_q is the core of q, read off its core table (1..p-1 at e = 1), so
+    it passes the table's own check; F is its preimage (module docstring).
+    """
+    mod = make_modulus(p, e)
+    q, base = mod.modulus, tuple(sorted(build_core_table(mod).core))
     return ReducedSumsets(q, base, [_bitset(base, q)])
 
 
@@ -278,39 +281,3 @@ def verify_multiples_of_p(mod: PrimePowerModulus) -> MultiplesReport:
         witnesses=witnesses,
     )
 
-
-@dataclass(frozen=True)
-class TripleWitness:
-    """A positive triple (r, s, t) with r+s+t = p whose core sum is a
-    nonzero multiple of p mod p^2."""
-
-    m: int  # multiplier: coresum = m*p mod p^2, m a unit mod p
-    triple: tuple[int, int, int]
-    coresum: int  # canonical residue mod p^2
-    degenerate_h: bool = False  # the (h,h,1) triple had coresum 0 mod p^2
-
-
-def h_triple_coresum(p: int) -> TripleWitness:
-    """Coresum witness (r, p-1-r, 1), tried at r = h = (p-1)/2 first.
-
-    A(p-1-r) = -A(r+1), so the triple's core sum mod p^2 is c = 1 - e_1(r),
-    e_1(r) = (r+1)^p - r^p mod p^2 read off power_differences; no core
-    table is built. By Fermat e_1(r) = 1 mod p, so p | c (checked). c = 0
-    at r = h exactly when 2^p = 2 mod p^2 (base-2 carry vanishes); then
-    r = (p-1)/3 (when 3 | p-1) and r = 1..h follow, and the first r with
-    c != 0 is returned, degenerate_h set.
-    """
-    make_modulus(p, 1)  # validates p
-    if p < 5:
-        raise OutOfRange("needs p >= 5")
-    pp = p * p
-    h = (p - 1) // 2
-    e1 = power_differences(p, pp, h)  # e_1(1..h) mod p^2
-    thirds = ((p - 1) // 3,) if (p - 1) % 3 == 0 else ()
-    for r in (h, *thirds, *range(1, h + 1)):
-        c = (1 - e1[r - 1]) % pp
-        if c % p:
-            raise CheckFailure(f"e_1({r}) != 1 mod p for p = {p}")
-        if c:
-            return TripleWitness(m=c // p, triple=(r, p - 1 - r, 1), coresum=c, degenerate_h=r != h)
-    raise NoTripleFound(f"no (r, s, 1) triple with nonzero coresum for p = {p}")

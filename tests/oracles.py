@@ -38,6 +38,25 @@ def core_by_recurrence(p: int, n: int, k: int) -> int:
     return f
 
 
+def recurrence_step_identity(p: int, n: int, i: int) -> bool:
+    """The paper's carry recurrence n^(p^i) = n^(p^(i-1)) * (n'p^i + 1) mod
+    p^(i+1), with the carry n' read off pkcore's core table of p^2.
+
+    The identity relates full-precision values: the first factor must be
+    carried at the target precision p^(i+1). Truncating it to p^i digits
+    loses the top digit of the product, which is why the generation
+    ladder uses p-th powers instead of carry multiplies.
+    """
+    # imported here: perfbench's harness imports this module without pkcore
+    from pkcore.corefst import build_core_table
+    from pkcore.modring import make_modulus
+
+    assert 1 <= n < p, (p, n)
+    carry = build_core_table(make_modulus(p, 2)).carries[n - 1]
+    m = p ** (i + 1)
+    return pow(n, p**i, m) == pow(n, p ** (i - 1), m) * (carry * p**i + 1) % m
+
+
 def naive_core_set(p: int, k: int) -> set[int]:
     m = p**k
     return {x for x in range(1, m) if x % p and pow(x, p - 1, m) == 1}

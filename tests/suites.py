@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 import oracles
-from pkcore import corefst
 from pkcore.corefst import build_core_table
 from pkcore.modring import base_p_encode, core_order, make_modulus, split_order
 from pkcore.primes import primes_in_range
@@ -68,7 +67,7 @@ def suite_carry_step_identity(cases: int = 600) -> tuple[int, int]:
         p = rng.choice(SMALL_PRIMES)
         n = rng.randint(1, p - 1)
         i = rng.randint(1, 4)
-        failures += not corefst.recurrence_step_identity(p, n, i)
+        failures += not oracles.recurrence_step_identity(p, n, i)
     return cases, failures
 
 

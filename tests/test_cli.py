@@ -558,7 +558,7 @@ PREFIX_REPORTS = [
     Report("x", [{"d": {"1": 2}, "v": [[1], []]}, {"s": "{x}, [y]", "e": {}}, {"\u00e9": 1.5, "n": None}], p=3, k=1),
     Report("scan", []),
 ]
-# "}, {" inside a row, an empty row, a row carrying p: one json.dumps of meta | row per report
+# "}, {" inside a row, an empty row, a row carrying p: one json.dumps of meta | row per row
 FALLBACK_REPORTS = [
     Report("x", [{"a": 1}, {"s": "}, {"}, {"b": [{}, {}]}], p=7, k=3),
     Report("x", [{"a": 1}, {}], p=7, k=3),
@@ -571,24 +571,27 @@ TRICKY_REPORTS = PREFIX_REPORTS + FALLBACK_REPORTS + [
     Report("x", [{}], p=3, k=2),
     Report("x", [{}, {"v": [], "d": {}}, {}]),
     Report("divisors", [], p=11),
+    # a list of objects can hold the text between two records, '}, {"schema_version": '
+    Report("x", [{"v": [{"a": 1}, {"schema_version": 1}]}]),
+    Report("x", [{}, {"v": [{}, {"schema_version": 2}]}, {}]),
 ]
 
 
 def test_render_jsonl_matches_per_row_reference(monkeypatch, capsys):
-    dumped = []  # what render_jsonl encodes: a meta dict only on the prefix path
+    dumped = []  # what render_jsonl encodes: the meta dict once on the prefix route, meta | row per row else
     real_dumps = json.dumps
     monkeypatch.setattr(pkcore.cli.json, "dumps", lambda obj: dumped.append(obj) or real_dumps(obj))
     for report in TRICKY_REPORTS:
         dumped.clear()
         got = render_jsonl(report)
-        if report in PREFIX_REPORTS + FALLBACK_REPORTS:
-            assert any(isinstance(obj, dict) for obj in dumped) == (report in PREFIX_REPORTS), report
+        meta = {"schema_version": 1, "command": report.command, "p": report.p, "k": report.k}
+        encoded = [obj for obj in dumped if isinstance(obj, dict)]
+        if report in PREFIX_REPORTS:
+            assert encoded == [meta], report
+        elif report in FALLBACK_REPORTS:
+            assert encoded == [meta | row for row in report.rows], report
         assert got == oracles.naive_render_jsonl(report), report
     monkeypatch.undo()
-    # a list of objects can hold the record separator: refused, never mis-cut
-    for rows in ([{"v": [{"a": 1}, {"schema_version": 1}]}], [{}, {"v": [{}, {"schema_version": 2}]}, {}]):
-        with pytest.raises(ValueError, match="separator"):
-            render_jsonl(Report("x", rows))
     argvs = [["kp", "--from", "3", "--to", "13"], ["scan", "note4", "--to", "13"]]
     argvs += [["scan", kind, "--to", "13"] for kind in ("wieferich", "exceptions")]
     for p, k in GRID:

@@ -6,18 +6,12 @@ from array import array
 import pytest
 
 import oracles
-from pkcore import corefst, primes
-from pkcore.corefst import (
-    build_core_table,
-    critical_precision,
-    equivalence_level_multiset,
-    integer_increments,
-    pth_power_base,
-    recurrence_step_identity,
-)
+from pkcore import corefst, primes, waring
+from pkcore.corefst import build_core_table, critical_precision, integer_increments
 from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange
 from pkcore.modring import base_p_encode, make_modulus
 from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
+from pkcore.waring import reduced_sumsets
 
 
 def enc(x, p, k):
@@ -57,10 +51,7 @@ def test_step_identity():
     for p in (3, 5, 7, 11, 13):
         for n in range(1, p):
             for i in (1, 2, 3):
-                assert recurrence_step_identity(p, n, i), (p, n, i)
-        for n in (0, p):  # no carry row; n = 0 would read the last one
-            with pytest.raises(OutOfRange):
-                recurrence_step_identity(p, n, 1)
+                assert oracles.recurrence_step_identity(p, n, i), (p, n, i)
 
 
 def test_step_identity_fails_on_a_wrong_carry(monkeypatch):
@@ -77,7 +68,7 @@ def test_step_identity_fails_on_a_wrong_carry(monkeypatch):
     for p in (3, 5, 7, 11, 13):
         for n in range(1, p):
             for i in (1, 2, 3):
-                assert not recurrence_step_identity(p, n, i), (p, n, i)
+                assert not oracles.recurrence_step_identity(p, n, i), (p, n, i)
 
 
 def test_core_table_11_3_golden():
@@ -131,7 +122,7 @@ def test_distinct_increments_match_naive():
             if p < 101 and m <= 10**6:
                 core = [oracles.naive_core_element(p, k, n) for n in range(1, h + 2)]
                 assert len(dk) == len({(b - a) % m for a, b in zip(core, core[1:])}), (p, k)
-            q, base = pth_power_base(p, k)
+            q, base, _ = reduced_sumsets(make_modulus(p, k), 1)
             assert (q, base) == (p ** min(k, 2), tuple(sorted(ladders[min(k, 2)][1:p]))), (p, k)
             if m <= 2 * 10**4:
                 assert set(base) == {x % q for x in oracles.naive_pth_powers(p, k)}, (p, k)
@@ -164,12 +155,14 @@ def test_core_table_check_catches_a_wrong_product(monkeypatch):
             corefst._core_table.__wrapped__(make_modulus(p, k))
     # F's base goes through the same check: no cached table may answer for it
     corefst._core_table.cache_clear()
+    waring._level_cache.cache_clear()
     try:
         for p, k in [(11, 3), (5, 2)]:
             with pytest.raises(CheckFailure):
-                pth_power_base(p, k)
+                reduced_sumsets(make_modulus(p, k), 1)
     finally:
         corefst._core_table.cache_clear()
+        waring._level_cache.cache_clear()
 
 
 def test_core_table_increment_sum_closes():
@@ -249,6 +242,24 @@ def test_bare_p_entry_points_reject_composites():
 def test_integer_increments_validation():
     with pytest.raises(OutOfRange):
         integer_increments(11, 0, 3)
+
+
+def equivalence_level_multiset(p, i, k_cap):
+    """For each non-symmetric pair n < m <= h: the largest j <= k_cap with
+    e_i(n) = e_i(m) mod p^j, e_i read off pkcore's integer_increments. The
+    paper's claim is that the multiset is i-invariant, which is what lets
+    K_p be read off e_1."""
+    h = (p - 1) // 2
+    vals = integer_increments(p, i, k_cap)
+    out = []
+    # pairs within the first half are never mirror-symmetric (n+m <= p-2)
+    for n, m in itertools.combinations(range(1, h + 1), 2):
+        d = (vals[n - 1] - vals[m - 1]) % p**k_cap
+        j = 0
+        while j < k_cap and d % p ** (j + 1) == 0:
+            j += 1
+        out.append(j)
+    return sorted(out)
 
 
 def test_equivalence_level_multiset_golden():

@@ -4,10 +4,11 @@ import random
 import pytest
 
 import oracles
-from pkcore.corefst import build_core_table, pth_power_base
+from pkcore.corefst import build_core_table
 from pkcore.errors import BadExponent, EvenPrime, NotPrime
 from pkcore.modring import base_p_encode, core_order, make_modulus, split_order
 from pkcore.primes import primes_in_range
+from pkcore.waring import reduced_sumsets
 
 
 def test_make_modulus_validation():
@@ -69,7 +70,7 @@ def test_pth_powers_11_3_golden():
     for n, s in enumerate(golden, start=1):
         assert pow(n, 11, 1331) == oracles.naive_base_p_decode(s, 11), (n, s)
     # F_3 is the preimage of A_q, q = 11^2: x is a p-th power iff x mod q is in A_q
-    q, base = pth_power_base(11, 3)
+    q, base, _ = reduced_sumsets(make_modulus(11, 3), 1)
     f = {x for x in range(1331) if x % q in base}
     assert len(f) == 110
     assert f == oracles.naive_pth_powers(11, 3)
@@ -77,7 +78,7 @@ def test_pth_powers_11_3_golden():
 
 def test_core_extensions_interpolate():
     mod = make_modulus(7, 3)
-    q, base = pth_power_base(7, 3)
+    q, base, _ = reduced_sumsets(mod, 1)
     assert oracles.naive_extension_members(7, 3, 0) == set(build_core_table(mod).core)
     assert oracles.naive_extension_members(7, 3, mod.k - 2) == {x for x in range(mod.modulus) if x % q in base}
     full = oracles.naive_extension_members(7, 3, mod.k - 1)

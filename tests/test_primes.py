@@ -29,6 +29,21 @@ def test_is_prime_large_primes():
         assert is_prime(n), n
 
 
+def test_is_prime_bpsw_lucas_step():
+    # every composite 2^q - 1, q prime and 67 <= q <= 199, and the Fermat
+    # numbers 2^(2^j) + 1, j = 6, 7, 8, are strong base-2 probable primes
+    # above 2^64, so only the strong Lucas step of BPSW rejects them.
+    # n + 1 = 2^q gives the Mersenne numbers a one-bit Lucas ladder; the
+    # Fermat numbers and the three primes run it over many bits
+    for q in primes_in_range(2, 199):
+        n = 2**q - 1
+        assert is_prime(n) == oracles.naive_is_prime(n), q
+    assert [q for q in primes_in_range(67, 199) if is_prime(2**q - 1)] == [89, 107, 127]
+    for n, prime in [(2**64 + 1, False), (2**128 + 1, False), (2**256 + 1, False),
+                     (2**64 + 13, True), (10**30 + 57, True), (2**127 + 29, True)]:
+        assert is_prime(n) == oracles.naive_is_prime(n) == prime, n
+
+
 def test_is_prime_matches_sympy():
     # below 53^2 = 2809 trial division by the primes up to 47 decides alone
     assert [is_prime(n) for n in range(-2, 10**4)] == [oracles.naive_is_prime(n) for n in range(-2, 10**4)]

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pkcore.corefst import build_core_table, recurrence_step_identity
+from pkcore.corefst import build_core_table
 from pkcore.modring import base_p_encode, core_order, make_modulus, split_order
 from pkcore.primes import primes_in_range
 
@@ -35,7 +35,7 @@ def test_recurrence_is_direct_power(p, k, n_seed):
 @given(SMALL_PRIMES, st.integers(1, 100), st.integers(1, 4))
 def test_step_identity(p, n_seed, i):
     n = n_seed % (p - 1) + 1
-    assert recurrence_step_identity(p, n, i)
+    assert oracles.recurrence_step_identity(p, n, i)
 
 
 @given(SMALL_PRIMES, st.integers(1, 100))

@@ -5,18 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pkcore import corefst, waring
+from pkcore import waring
 from pkcore.cli import main
 from pkcore.corefst import build_core_table
-from pkcore.errors import CheckFailure, EvenPrime, NoTripleFound, NotPrime, OutOfRange
+from pkcore.errors import CheckFailure, NoTripleFound, OutOfRange
 from pkcore.modring import make_modulus
 from pkcore.pairsums import fermat_pairsum_count
-from pkcore.waring import (
-    decompose_residue,
-    h_triple_coresum,
-    sumset_levels,
-    verify_multiples_of_p,
-)
+from pkcore.waring import decompose_residue, sumset_levels, verify_multiples_of_p
 
 GRID = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3)]
 SMALL_PRIMES = [p for p in range(3, 142) if oracles.naive_is_prime(p)]
@@ -113,75 +108,52 @@ def test_decompose_residue_rejects_unreachable():
         decompose_residue(mod, 9, 3)  # 9 needs two or four summands, not three
 
 
+def h_triple_coresum(p):
+    """The paper's coresum witness (r, p-1-r, 1), r tried at h = (p-1)/2
+    first: (triple, core sum mod p^2), the core sum a nonzero multiple of p.
+
+    A(p-1-r) = -A(r+1), so the core sum is c = 1 - e_1(r) mod p^2, with
+    e_1(r) = (r+1)^p - r^p read off pkcore's power_differences. c = 0 at
+    r = h exactly when 2^p = 2 mod p^2 (the base-2 carry vanishes); then
+    r = (p-1)/3 (when 3 | p-1) and r = 1..h follow.
+    """
+    from pkcore.corefst import power_differences
+
+    pp, h = p * p, (p - 1) // 2
+    e1 = power_differences(p, pp, h)  # e_1(1..h) mod p^2
+    thirds = ((p - 1) // 3,) if (p - 1) % 3 == 0 else ()
+    for r in (h, *thirds, *range(1, h + 1)):
+        c = (1 - e1[r - 1]) % pp
+        assert c % p == 0, (p, r)  # e_1(r) = 1 mod p by Fermat
+        if c:
+            return (r, p - 1 - r, 1), c
+    raise AssertionError(f"no (r, p-1-r, 1) triple with nonzero core sum for p = {p}")
+
+
+def check_h_triple(p, triple, coresum):
+    assert h_triple_coresum(p) == (triple, coresum), p
+    assert coresum % p == 0 and coresum > 0
+    core = (0,) + build_core_table(make_modulus(p, 2)).core  # A_2(n) at n
+    assert sum(core[n] for n in triple) % p**2 == coresum, p
+
+
 def test_h_triple_golden():
     for p, triple, coresum in [
         (5, (2, 2, 1), 15),
         (7, (3, 3, 1), 14),
         (13, (6, 6, 1), 39),
+        (8191, (4095, 4095, 1), 5160330),
     ]:
-        w = h_triple_coresum(p)
-        assert (w.triple, w.coresum) == (triple, coresum), p
-        assert not w.degenerate_h
-        assert w.coresum % p == 0 and w.coresum > 0
+        check_h_triple(p, triple, coresum)
 
 
 def test_h_triple_wieferich_fallback():
+    # at the base-2 Wieferich primes (h, h, 1) has core sum 0, and r = (p-1)/3 takes over
     for p, triple, coresum in [
         (1093, (364, 728, 1), 341016),
         (3511, (1170, 2340, 1), 24577),
     ]:
-        w = h_triple_coresum(p)
-        assert w.degenerate_h
-        assert (w.triple, w.coresum) == (triple, coresum), p
-        assert w.coresum % p == 0 and w.coresum > 0
-
-
-def test_h_triple_candidate_order(monkeypatch):
-    # e_1(r) = 1 makes the triple (r, p-1-r, 1) degenerate; the next
-    # candidate is (p-1)/3 when 3 | p-1, then r = 1, 2, ...
-    real = waring.power_differences
-
-    def e1_at(values):  # e_1(r) replaced by values[r] where given
-        def differences(e, m, top):
-            return [values.get(r, d) for r, d in enumerate(real(e, m, top), start=1)]
-        return differences
-
-    for p, ones, r in [(13, {6}, 4), (11, {5}, 1)]:
-        core = (0,) + build_core_table(make_modulus(p, 2)).core  # A_2(n) at n
-        coresum = (core[r] + core[p - 1 - r] + 1) % p**2
-        monkeypatch.setattr(waring, "power_differences", e1_at(dict.fromkeys(ones, 1)))
-        w = h_triple_coresum(p)
-        assert (w.triple, w.coresum, w.m, w.degenerate_h) == ((r, p - 1 - r, 1), coresum, coresum // p, True), p
-    monkeypatch.setattr(waring, "power_differences", e1_at(dict.fromkeys(range(13), 1)))
-    with pytest.raises(NoTripleFound):
-        h_triple_coresum(13)
-    monkeypatch.setattr(waring, "power_differences", e1_at({6: 2}))  # e_1(h) = 2 mod 13: not a p-th power difference
-    with pytest.raises(CheckFailure):
-        h_triple_coresum(13)
-
-
-def test_h_triple_builds_no_core_table():
-    corefst._core_table.cache_clear()
-    for p, triple, coresum in [
-        (5, (2, 2, 1), 15),
-        (13, (6, 6, 1), 39),
-        (1093, (364, 728, 1), 341016),
-        (3511, (1170, 2340, 1), 24577),
-        (8191, (4095, 4095, 1), 5160330),
-    ]:
-        w = h_triple_coresum(p)
-        assert (w.triple, w.coresum) == (triple, coresum), p
-    assert corefst._core_table.cache_info().currsize == 0
-
-
-def test_h_triple_rejects_composites():
-    for p in (9, 15, 25):
-        with pytest.raises(NotPrime):
-            h_triple_coresum(p)
-    with pytest.raises(EvenPrime):
-        h_triple_coresum(2)
-    with pytest.raises(OutOfRange):
-        h_triple_coresum(3)
+        check_h_triple(p, triple, coresum)
 
 
 def test_reports_match_bitset_oracle():
