@@ -10,9 +10,11 @@ A report's jsonl is one json.dumps of its rows, each line a row's text
 behind the meta prefix, encoded once; else one json.dumps per record
 meta | row.
 
-kp and the scans run on generators.scan_primes (--from/--to/--jobs, and
---checkpoint for scans): the Wieferich scan through its batched block
-kernel, kp, exceptions and note4 through per-prime rows. Each scan kind
+kp and the scans run on generators.scan_primes (--from/--to/--jobs):
+the Wieferich scan through its batched block kernel, kp, exceptions and
+note4 through per-prime rows. A report is printed only when its range
+is done; Ctrl-C prints one line saying so instead of a traceback and
+exits 130, and a long survey runs as --from/--to windows. Each scan kind
 has its own parser, so a flag is accepted only where it is read: --jobs
 by kp and the scans, --base by scan wieferich and -k by scan note4.
 Anywhere else it is an "unrecognized arguments" error (exit 6).
@@ -56,6 +58,7 @@ from .errors import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     CheckFailure,
     OutOfRange,
@@ -319,21 +322,19 @@ def _note4_row(k: int, p: int) -> dict:
 
 
 def cmd_scan(args) -> Report:
-    scan = partial(
-        generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=args.jobs, checkpoint=args.checkpoint
-    )
+    scan = partial(generators.scan_primes, lo=max(args.start, 3), hi=args.to, jobs=args.jobs)
     k = None  # set by note4, whose rows are orders mod p^k
     if args.kind == "wieferich":
         base = args.base
-        hits = scan(generators.wieferich_test(base), ident={"base": base})
+        hits = scan(generators.wieferich_test(base))
         rows = [{"p": p, "base": base, "residual": 0, "classification": "wieferich"} for p in hits]
     elif args.kind == "exceptions":
-        pairs = scan(generators.per_prime(generators.exception_row), ident={"kind": "exceptions"})
+        pairs = scan(generators.per_prime(generators.exception_row))
         rows = [{"p": p, "r": r, "residual": 0, "classification": "exceptional"} for p, r in pairs]
     else:  # orders mod p^k reach (p-1)*p^(k-1), p <= --to
         k, hi = args.k, args.to
         _check_printable(hi - 1, hi, k, f"-k {k} is too large for --to {hi}: orders up to {hi - 1}*{hi}^{k - 1}")
-        rows = scan(generators.per_prime(partial(_note4_row, k)), ident={"kind": "note4", "k": k})
+        rows = scan(generators.per_prime(partial(_note4_row, k)))
     failed = any(row["classification"] == "counterexample" for row in rows)
     return Report(command="scan", rows=rows, k=k, check_failed=failed)
 
@@ -394,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         scan.add_argument("--from", dest="start", type=int, default=3),
         scan.add_argument("--to", type=int, required=True),
         scan.add_argument("--jobs", type=int, default=1),
-        scan.add_argument("--checkpoint", default=None),
     ]
     sp = sub.add_parser("scan", help="prime scans")
     sp.set_defaults(func=cmd_scan)
@@ -496,7 +496,12 @@ def main(argv=None) -> int:
     args = _parse_argv(argv)
     try:
         t0 = time.perf_counter()
-        report: Report = args.func(args)
+        try:
+            report: Report = args.func(args)
+        except KeyboardInterrupt:  # before any output: a report is printed whole, once its work is done
+            hint = "; run the range again, or split it into --from/--to windows" if hasattr(args, "to") else ""
+            print(f"interrupted: no rows were printed{hint}", file=sys.stderr)
+            return EXIT_INTERRUPTED
         elapsed_s = time.perf_counter() - t0
         emit(report, args.format)
         print(f"elapsed: {elapsed_s:.3f}s", file=sys.stderr)

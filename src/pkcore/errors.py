@@ -2,7 +2,8 @@
 
 Every concrete error carries the process exit code the CLI maps it to.
 Codes: 2 check failure, 3 not prime, 4 oversize, 5 factorization failure,
-6 other input validation, 7 unexpected.
+6 other input validation, 7 unexpected. 130 (128 + SIGINT) is no error
+class: the CLI returns it when a run is interrupted (Ctrl-C).
 """
 
 EXIT_OK = 0
@@ -12,6 +13,7 @@ EXIT_OVERSIZE = 4
 EXIT_FACTORIZATION = 5
 EXIT_BAD_INPUT = 6
 EXIT_INTERNAL = 7
+EXIT_INTERRUPTED = 130
 
 
 class PkcoreError(Exception):
@@ -22,26 +24,12 @@ class NotPrime(PkcoreError):
     exit_code = EXIT_NOT_PRIME
 
 
-class EvenPrime(PkcoreError):
-    """p = 2 is rejected: the unit group mod 2^k is not cyclic for k >= 3."""
-
-    exit_code = EXIT_BAD_INPUT
-
-
-class BadExponent(PkcoreError):
-    exit_code = EXIT_BAD_INPUT
-
-
 class Oversize(PkcoreError):
     exit_code = EXIT_OVERSIZE
 
 
 class OutOfRange(PkcoreError):
-    exit_code = EXIT_BAD_INPUT
-
-
-class BadCheckpoint(PkcoreError):
-    """A scan checkpoint is unreadable or was written by a different scan."""
+    """An input outside its domain: p = 2, k < 1, a pairsum level e outside [0, k-1], and so on."""
 
     exit_code = EXIT_BAD_INPUT
 
@@ -51,7 +39,7 @@ class FactorizationFailure(PkcoreError):
 
 
 class NoTripleFound(PkcoreError):
-    """No three-summand coresum witness exists; signals a counterexample."""
+    """decompose_residue's x is not in F+t for the t asked for; no claim of the paper fails."""
 
     exit_code = EXIT_CHECK_FAILED
 

@@ -33,14 +33,14 @@ slotted, mutable dataclasses, built positionally: a frozen one pays
 object.__setattr__ per field, and the audit builds one record per divisor.
 
 Every per-prime survey (these scans, the CLI's kp and note4) runs on
-scan_primes, the one prime loop: ordered blocks, a process pool under
-jobs > 1, an optional resumable checkpoint. Its unit is a block kernel,
-rows(primes) -> list; a per-prime row function becomes one through
-per_prime. The Wieferich kernel shares one pow among WIEFERICH_BATCH
-consecutive primes p_0 < ... < p_7: with M = prod p_i^2,
-x = base^p_0 mod M, and stepping x by base^(p_i - p_(i-1)) mod M gives
-base^p_i mod M, whose reduction mod p_i^2 is base^p_i mod p_i^2 exactly,
-for every base >= 2 (p dividing base included).
+scan_primes, the one prime loop: ordered blocks and a process pool under
+jobs > 1. Its unit is a block kernel, rows(primes) -> list; a per-prime
+row function becomes one through per_prime. The Wieferich kernel shares
+one pow among WIEFERICH_BATCH consecutive primes p_0 < ... < p_7: with
+M = prod p_i^2, x = base^p_0 mod M, and stepping x by
+base^(p_i - p_(i-1)) mod M gives base^p_i mod M, whose reduction mod
+p_i^2 is base^p_i mod p_i^2 exactly, for every base >= 2 (p dividing
+base included).
 
 concurrent.futures is imported inside scan_primes, right before a pool
 of two or more workers starts, not at module level: it pulls in
@@ -50,15 +50,13 @@ multiprocessing, pickle, socket, logging and queue (~25 ms), which only
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import BadCheckpoint, CheckFailure, OutOfRange
+from .errors import CheckFailure, OutOfRange
 from .modring import core_order, make_modulus, split_order
 from .primes import factorize, primes_in_range
 
@@ -78,7 +76,6 @@ __all__ = [
 ]
 
 SCAN_BLOCK = 1 << 18
-CHECKPOINT_VERSION = 1
 WIEFERICH_BATCH = 8  # primes sharing one pow; wider batches lose to the growing modulus M
 
 
@@ -247,34 +244,7 @@ def _scan_block(args: tuple[Callable[[list[int]], list], int, int]) -> list:
     return rows(primes_in_range(lo, hi))
 
 
-def _label(fields: dict) -> str:
-    """A scan's identity as text, e.g. "base-2" or "note4 k-3"."""
-    return " ".join(str(v) if key == "kind" else f"{key}-{v}" for key, v in fields.items()) or "unnamed"
-
-
-def _read_checkpoint(path: str, ident: dict) -> int:
-    """The next start stored in a checkpoint written by the scan ident names."""
-    try:
-        with open(path) as fh:
-            state = json.loads(fh.read())
-    except (OSError, ValueError):
-        state = None
-    # a bare decimal line is the unversioned old format, refused like any other
-    versioned = isinstance(state, dict) and state.get("version") == CHECKPOINT_VERSION
-    if not versioned or type(state.get("next")) is not int:
-        raise BadCheckpoint(f"checkpoint {path} is not a version-{CHECKPOINT_VERSION} scan checkpoint")
-    written = {key: v for key, v in state.items() if key not in ("version", "next")}
-    if written != ident:
-        raise BadCheckpoint(
-            f"checkpoint {path} was written by another scan ({_label(written)}); this scan is {_label(ident)}"
-        )
-    return state["next"]
-
-
-def scan_primes(
-    rows: Callable[[list[int]], list], lo: int, hi: int, *,
-    jobs: int = 1, checkpoint: str | None = None, ident: dict | None = None,
-) -> list:
+def scan_primes(rows: Callable[[list[int]], list], lo: int, hi: int, *, jobs: int = 1) -> list:
     """rows(primes of the block) for every block of [lo, hi], concatenated in order.
 
     rows is a block kernel (per_prime makes one from a row function).
@@ -283,16 +253,12 @@ def scan_primes(
     prime grows with p, so several blocks per worker let pool.map hand
     the heavy top-of-range blocks to whichever worker is free. Under
     jobs > 1 they run on a pool of min(jobs, blocks) processes (rows
-    must then pickle). A checkpoint is resumed from and rewritten after
-    each block as one line {"version": 1, **ident, "next": N}, ident
-    naming the scan's kind and parameters; one of another scan or format
-    raises BadCheckpoint.
+    must then pickle). The rows come back only when the whole range is
+    done, so a long survey runs as consecutive [lo, hi] windows: their
+    rows concatenate to those of one run over the union.
     """
     if jobs < 1:
         raise OutOfRange(f"jobs = {jobs} must be at least 1")
-    ident = ident or {}
-    if checkpoint and os.path.exists(checkpoint):
-        lo = max(lo, _read_checkpoint(checkpoint, ident))
     parts = 1 if jobs == 1 else 4 * jobs
     size = min(SCAN_BLOCK, max(1, -(-(hi - lo + 1) // parts)))
     spans = [(rows, a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
@@ -302,12 +268,8 @@ def scan_primes(
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = pool.map(_scan_block, spans) if pool else map(_scan_block, spans)
-        for (_, _, end), block_rows in zip(spans, results):
+        for block_rows in results:
             out += block_rows
-            if checkpoint:
-                with open(checkpoint + ".tmp", "w") as fh:
-                    fh.write(json.dumps({"version": CHECKPOINT_VERSION, **ident, "next": end + 1}) + "\n")
-                os.replace(checkpoint + ".tmp", checkpoint)
     return out
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadExponent, EvenPrime, NotPrime
+from .errors import NotPrime, OutOfRange
 from .primes import factorize, is_prime
 
 
@@ -67,11 +67,11 @@ def make_modulus(p: int, k: int) -> PrimePowerModulus:
 @lru_cache(maxsize=1024)
 def _modulus(p: int, k: int) -> PrimePowerModulus:
     if p == 2:
-        raise EvenPrime("p = 2 is not supported (unit group not cyclic for k >= 3)")
+        raise OutOfRange("p = 2 is not supported (unit group not cyclic for k >= 3)")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
-        raise BadExponent(f"precision exponent k must be >= 1, got {k}")
+        raise OutOfRange(f"precision exponent k must be >= 1, got {k}")
     return PrimePowerModulus(p=p, k=k, modulus=p ** k, units_order=(p - 1) * p ** (k - 1))
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corefst import build_core_table, critical_precision
-from .errors import BadExponent
+from .errors import OutOfRange
 from .modring import PrimePowerModulus, make_modulus
 
 __all__ = [
@@ -128,7 +128,7 @@ def extension_pairsum_check(mod: PrimePowerModulus, e: int) -> ExtensionPairsumV
     |X^(e)| = (p-1)*p^e times its number of labels.
     """
     if not 0 <= e <= mod.k - 1:
-        raise BadExponent(f"extension level e must be in [0, k-1], got {e}")
+        raise OutOfRange(f"extension level e must be in [0, k-1], got {e}")
     p = mod.p
     table = build_core_table(make_modulus(p, mod.k - e))
     m = table.mod.modulus

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pkcore import corefst, waring
 from pkcore.cli import FORMATS, Report, cell_modulus, main, render_human, render_jsonl
-from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange, Oversize
+from pkcore.errors import CheckFailure, NotPrime, OutOfRange, Oversize
 from pkcore.primes import primes_in_range
 
 GRID = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3)]  # the acceptance grid
@@ -188,7 +188,7 @@ VALID_ARGV = [
     ["pairsums", "-p", "7", "-k", "3"],
     ["waring", "--format", "human", "-p", "3", "-k", "4"],
     ["divisors", "-p", "11"],
-    ["scan", "wieferich", "--to", "100", "--base", "3", "--jobs", "2", "--checkpoint", "ck.jsonl"],
+    ["scan", "wieferich", "--to", "100", "--base", "3", "--jobs", "2"],
     ["scan", "note4", "--from", "5", "--to", "30", "-k", "4"],
     ["scan", "exceptions", "--to", "50", "--format", "jsonl"],
     ["decompose", "-p", "7", "-k", "3", "14", "--max-t", "3"],
@@ -384,8 +384,8 @@ def test_cell_guard_edges():
         assert f"p^k = {p}^{k}" in message and limit in message and len(message) < 200, message
         assert k != 2 or str(p**k) not in message  # larger values cannot fit in 200 characters
     # a p that is not an odd prime is reported first, at any size
-    for p, k, error in [(4, 10**9, NotPrime), (2, 10**9, EvenPrime), (9, 2, NotPrime)]:
-        with pytest.raises(error):
+    for p, k, error in [(4, 10**9, NotPrime), (2, 10**9, OutOfRange), (9, 2, NotPrime)]:
+        with pytest.raises(error, match="is not prime" if error is NotPrime else "p = 2 is not supported"):
             cell_modulus(p, k)
     # every printed integer is at most p^k: 5^915 has 640 digits, 5^916 has 641
     with int_max_str_digits(640):
@@ -650,67 +650,6 @@ def test_scan_exceptions_stream(capsys):
     assert all(r["classification"] == "exceptional" for r in recs)
 
 
-def test_wieferich_checkpoint_resume(tmp_path, capsys):
-    cp = str(tmp_path / "scan.ckpt")
-    code, out1, _ = run(capsys, "scan", "wieferich", "--to", "2000", "--checkpoint", cp)
-    assert code == 0 and "1093" in out1
-    stored = json.loads(open(cp).read())["next"]
-    assert stored > 2000
-    code, out2, _ = run(capsys, "scan", "wieferich", "--to", "10000", "--checkpoint", cp)
-    assert code == 0
-    assert "3511" in out2 and "1093" not in out2
-    code, full, _ = run(capsys, "scan", "wieferich", "--to", "10000")
-    hits = lambda text: {
-        line.split()[0] for line in text.splitlines() if line[:1].isdigit()
-    }
-    assert hits(out1) | hits(out2) == hits(full) == {"1093", "3511"}
-
-
-def test_checkpoint_format(tmp_path, capsys):
-    cp = tmp_path / "w.ckpt"
-    run(capsys, "scan", "wieferich", "--to", "1500", "--checkpoint", str(cp))
-    text = cp.read_text()
-    assert text.endswith("\n") and text.count("\n") == 1
-    assert json.loads(text) == {"version": 1, "base": 2, "next": 1501}
-
-
-def test_checkpoint_refused_unless_same_scan(tmp_path, capsys):
-    cp = tmp_path / "w.ckpt"
-    code, _, _ = run(capsys, "scan", "wieferich", "--to", "5000", "--checkpoint", str(cp))
-    assert code == 0
-    # a base-3 run must not resume a base-2 checkpoint: it would skip [2, 5000] and miss 11
-    code, out, err = run(
-        capsys, "scan", "wieferich", "--to", "5000", "--base", "3", "--checkpoint", str(cp)
-    )
-    assert code == 6 and str(cp) in err and "base-2" in err and out == ""
-    code, out, _ = run(capsys, "scan", "wieferich", "--to", "5000", "--base", "3", "--format", "jsonl")
-    assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [11]
-    refused = (
-        "5001\n",  # the old bare-decimal format
-        "not a checkpoint\n",
-        "",
-        '{"version": 2, "base": 2, "next": 5001}\n',
-        '{"version": 1, "base": 2}\n',
-        '{"version": 1, "next": 5001}\n',
-    )
-    for text in refused:
-        cp.write_text(text)
-        code, _, err = run(capsys, "scan", "wieferich", "--to", "6000", "--checkpoint", str(cp))
-        assert code == 6 and str(cp) in err, text
-    # every scan kind names itself and its parameters; another kind or parameter set is refused
-    mismatched = (
-        (("exceptions",), ("wieferich",)),
-        (("wieferich",), ("exceptions",)),
-        (("note4", "-k", "3"), ("note4", "-k", "4")),
-    )
-    for writer, reader in mismatched:
-        cp.unlink()
-        code, _, _ = run(capsys, "scan", *writer, "--to", "200", "--checkpoint", str(cp))
-        assert code == 0 and cp.exists(), writer
-        code, out, err = run(capsys, "scan", *reader, "--to", "400", "--checkpoint", str(cp))
-        assert code == 6 and str(cp) in err and out == "", (writer, reader)
-
-
 def test_scan_jobs_parity(monkeypatch, capsys):
     pools = []
 
@@ -735,15 +674,32 @@ def test_scan_jobs_parity(monkeypatch, capsys):
         assert pools == [2], argv  # the second job really ran
 
 
-def test_scan_resume_union_equals_cold_run(tmp_path, capsys):
-    for kind in (("exceptions",), ("note4", "-k", "3")):
-        cp = str(tmp_path / f"{kind[0]}.ckpt")
-        _, first, _ = run(capsys, "scan", *kind, "--to", "200", "--checkpoint", cp, "--format", "jsonl")
-        assert json.loads(open(cp).read())["next"] == 201
-        _, second, _ = run(capsys, "scan", *kind, "--to", "600", "--checkpoint", cp, "--format", "jsonl")
-        _, cold, _ = run(capsys, "scan", *kind, "--to", "600", "--format", "jsonl")
-        assert first and second and first + second == cold, kind
-        assert json.loads(second.splitlines()[0])["p"] > 200
+def test_scan_resume_union_equals_cold_run(capsys):
+    # a long survey resumes as the next --from/--to window: the windows' rows, in order, are the cold run's
+    for command, split, top in (
+        (("scan", "exceptions"), 200, 600),
+        (("scan", "note4", "-k", "3"), 200, 600),
+        (("kp",), 200, 600),
+        (("scan", "wieferich"), 2000, 9000),  # base 2 has no hit below 1093
+    ):
+        windows = (["--to", split], ["--from", split + 1, "--to", top], ["--to", top])
+        (code1, first, _), (code2, second, _), (code, cold, _) = (
+            run(capsys, *command, *map(str, window), "--format", "jsonl") for window in windows
+        )
+        assert code1 == code2 == code == 0, command
+        assert first and second and '"rows": 0' not in first + second, command  # no window is empty
+        assert first + second == cold, command
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(p):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("pkcore.generators.exception_row", interrupted)
+    code, out, err = run(capsys, "scan", "exceptions", "--to", "100")
+    assert code == 130 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "no rows were printed" in err and "--from/--to" in err
 
 
 def test_scan_honours_from(capsys):
@@ -751,11 +707,17 @@ def test_scan_honours_from(capsys):
     assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [3511]
 
 
-def test_flags_scoped_to_their_commands(capsys):
-    for argv in (("divisors", "-p", "11", "--jobs", "2"), ("kp", "--table-bound", "5")):
+def test_flags_scoped_to_their_commands(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ("divisors", "-p", "11", "--jobs", "2"),
+        ("kp", "--table-bound", "5"),
+        ("scan", "wieferich", "--to", "20", "--checkpoint", "x"),  # scans keep no state between runs
+    ):
         with pytest.raises(SystemExit) as e:
             main(list(argv))
         assert e.value.code == 6 and "unrecognized arguments" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
     for argv in (("kp", "--to", "20"), ("scan", "exceptions", "--to", "20")):
         code, _, err = run(capsys, *argv, "--jobs", "0")
         assert code == 6 and "jobs" in err, argv
@@ -856,14 +818,10 @@ def test_output_is_a_function_of_argv(tmp_path, monkeypatch, capsys):
     assert [run(capsys, *argv)[:2] for argv in calls] == clean
 
 
-def test_scan_note4_k_defaults_to_3(tmp_path, capsys):
+def test_scan_note4_k_defaults_to_3(capsys):
     code, bare, _ = run(capsys, "scan", "note4", "--to", "60", "--format", "jsonl")
     _, three, _ = run(capsys, "scan", "note4", "--to", "60", "-k", "3", "--format", "jsonl")
     assert code == 0 and bare.count("\n") > 1 and bare == three
-    # so a checkpoint written without -k is resumed by -k 3
-    cp = str(tmp_path / "note4.ckpt")
-    run(capsys, "scan", "note4", "--to", "60", "--checkpoint", cp)
-    assert run(capsys, "scan", "note4", "--to", "90", "-k", "3", "--checkpoint", cp)[0] == 0
 
 
 def test_increments_huge_i_is_clamped(capsys):

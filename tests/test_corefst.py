@@ -8,7 +8,7 @@ import pytest
 import oracles
 from pkcore import corefst, primes, waring
 from pkcore.corefst import build_core_table, critical_precision, integer_increments
-from pkcore.errors import CheckFailure, EvenPrime, NotPrime, OutOfRange
+from pkcore.errors import CheckFailure, NotPrime, OutOfRange
 from pkcore.modring import base_p_encode, make_modulus
 from pkcore.pairsums import core_pairsum_count, extension_pairsum_check
 from pkcore.waring import reduced_sumsets
@@ -235,7 +235,7 @@ def test_bare_p_entry_points_reject_composites():
             call(9)
         with pytest.raises(NotPrime):
             call(1)
-        with pytest.raises(EvenPrime):
+        with pytest.raises(OutOfRange, match="p = 2 is not supported"):
             call(2)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from pkcore.corefst import build_core_table
-from pkcore.errors import BadExponent, EvenPrime, NotPrime
+from pkcore.errors import NotPrime, OutOfRange
 from pkcore.modring import base_p_encode, core_order, make_modulus, split_order
 from pkcore.primes import primes_in_range
 from pkcore.waring import reduced_sumsets
@@ -17,9 +17,9 @@ def test_make_modulus_validation():
             make_modulus(4, 2)
         with pytest.raises(NotPrime):
             make_modulus(1, 2)
-        with pytest.raises(EvenPrime):
+        with pytest.raises(OutOfRange, match="p = 2 is not supported"):
             make_modulus(2, 3)
-        with pytest.raises(BadExponent):
+        with pytest.raises(OutOfRange, match="precision exponent k must be >= 1"):
             make_modulus(5, 0)
     assert make_modulus(11, 8).modulus == 11**8
     assert make_modulus(11, 8) is make_modulus(11, 8)

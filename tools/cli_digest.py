@@ -23,7 +23,9 @@ level limit.
 
 PARSE_CALLS are the argv forms that cli._match leaves to argparse (help,
 errors, `--`, `=` forms, abbreviations, values starting with '-') plus a
-repeated option that it reads itself.
+repeated option that it reads itself. The last one, `scan wieferich --to
+20 --checkpoint x`, pins that scans take no state file: exit 6, nothing
+written.
 """
 
 import contextlib
@@ -57,6 +59,7 @@ PARSE_CALLS += [["decompose", "-p", "-5", "-k", "3", "14"], ["decompose", "-p", 
 PARSE_CALLS += [["decompose", "-p", "7", "14"], ["decompose", "-p", "7", "-k", "3", "14", "15"]]
 PARSE_CALLS += [["decompose", "-p", "7", "-k", "x", "14"], ["core", "-p", "5", "-k", "2", "--format", "bogus"]]
 PARSE_CALLS += [["scan", "--to", "50", "wieferich"], ["scan", "bogus", "--to", "5"]]
+PARSE_CALLS += [["scan", "wieferich", "--to", "20", "--checkpoint", "x"]]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
