@@ -242,13 +242,13 @@ def cmd_kp(args) -> Report:
 
 def cmd_pairsums(args) -> Report:
     mod = cell_modulus(args.p, args.k)
-    kp = corefst.critical_precision(args.p).kp
-    observed, predicted = pairsums.core_pairsum_count(mod, kp=kp)
+    observed, predicted = pairsums.core_pairsum_count(mod)
     core_row = {
         "kind": "core",
         "observed": observed,
         "predicted": predicted,
-        "note": "" if args.k >= kp else "k < critical precision",
+        # |D_k| = (p-1)/2 iff k >= K_p, and K_p >= 2
+        "note": "" if args.k >= 2 and predicted == (args.p - 1) ** 2 // 2 else "k < critical precision",
     }
     rows = [core_row]
     fermat_failed = False

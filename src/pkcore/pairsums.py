@@ -31,8 +31,8 @@ G_j and z^(p-1) mod p^j labels the coset A_j*z. The unit part of A_j+A_j
 is the union of the cosets A_j*(1+a) (a+b = a*(1+b/a)), so the check
 compares the labels (1+a)^(p-1) with the labels d^(p-1), d in D_j:
 fewer than p-1 label powers mod p^j at every level, whatever e. The core
-count is the e = 0 case, and F is X^(k-2) (every unit at k = 1), so the
-F+F count is the same check.
+count is the e = 0 case, read at p^min(k, K_p), and F is X^(k-2) (every
+unit at k = 1), so the F+F count is the same check.
 
 The cores and D_j all come from corefst's cached core table of p^j;
 nothing here computes a core element itself.
@@ -55,22 +55,25 @@ __all__ = [
 ]
 
 
-def core_pairsum_count(mod: PrimePowerModulus, *, kp: int | None = None) -> tuple[int, int]:
+def core_pairsum_count(mod: PrimePowerModulus) -> tuple[int, int]:
     """(observed, predicted) distinct nonzero sums of two core elements.
 
-    Both come from extension_pairsum_check(mod, 0); every nonzero core
-    sum is a unit, so there is nothing else to count. Observed is its
-    unit_sum_count. Predicted is (p-1)^2/2 at or above critical
-    precision, and below it the check's coset_union_count, which is
-    |A| * |D_k| because x -> x^(p-1) is injective on B_k, which holds
-    D_k and has order prime to p-1. kp, if given, is the critical
-    precision K_p, which is otherwise computed here.
+    Both are read at p^j, j = min(k, K_p): the unit_sum_count and the
+    coset_union_count of extension_pairsum_check(p^j, 0). Every nonzero
+    core sum is a unit, so there is nothing else to count, and the
+    observed count is p-1 times the number of labels (1+a)^(p-1), a in
+    A_k, a != -1. That number is fixed from K_p on. Reduction mod
+    p^(k-1) maps A_k onto A_(k-1), so the labels at k map onto those at
+    k-1: their number never falls as k grows. a and 1/a give the same
+    label, since (1+1/a)^(p-1) = (1+a)^(p-1) / a^(p-1), so there are at
+    most h = (p-1)/2 labels (a = 1 is its own inverse), and K_p reaches
+    h. So the count at every k >= K_p is the count at K_p,
+    (p-1) * |D_(K_p)| = (p-1)^2/2. Below K_p the prediction, the check's
+    coset_union_count, is |A| * |D_k| because x -> x^(p-1) is injective
+    on B_k, which holds D_k and has order prime to p-1.
     """
-    verdict = extension_pairsum_check(mod, 0)
-    if kp is None:
-        kp = critical_precision(mod.p).kp
-    if mod.k >= kp:
-        return verdict.unit_sum_count, (mod.p - 1) ** 2 // 2
+    kp = critical_precision(mod.p).kp
+    verdict = extension_pairsum_check(make_modulus(mod.p, min(mod.k, kp)), 0)
     return verdict.unit_sum_count, verdict.coset_union_count
 
 

@@ -74,10 +74,10 @@ class ReducedSumsets(NamedTuple):
 
 def _bitset(values, q: int) -> int:
     """The bitset over [0, q) with the given bits set, built in one pass."""
-    digits = bytearray(b"0") * q  # binary digits, most significant first: bit v is digits[~v]
+    buf = bytearray((q + 7) // 8)  # little-endian: bit v is bit v & 7 of byte v >> 3
     for v in values:
-        digits[~v] = 49  # ord("1")
-    return int(digits, 2)  # base 2 parses in linear time
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
 
 
 @lru_cache(maxsize=4)  # an entry holds a few bitsets of q <= p^2 bits

@@ -392,6 +392,20 @@ def naive_extension_pairsum_check(p: int, k: int, e: int) -> tuple[bool, int, in
     return units == union, len(units), len(union)
 
 
+def full_precision_core_pairsum_count(p: int, k: int) -> tuple[int, int]:
+    """pairsums.core_pairsum_count by the route it took before reading the
+    count at p^min(k, K_p): the labels of the core table of p^k itself,
+    and the prediction (p-1)^2/2 at every k >= K_p."""
+    from pkcore.corefst import critical_precision
+    from pkcore.modring import make_modulus
+    from pkcore.pairsums import extension_pairsum_check
+
+    verdict = extension_pairsum_check(make_modulus(p, k), 0)
+    if k >= critical_precision(p).kp:
+        return verdict.unit_sum_count, (p - 1) ** 2 // 2
+    return verdict.unit_sum_count, verdict.coset_union_count
+
+
 def naive_render_jsonl(report) -> str:
     """The jsonl of a pkcore.cli.Report, one json.dumps per record (schema 1)."""
     meta = {"schema_version": 1, "command": report.command, "p": report.p, "k": report.k}

@@ -375,9 +375,11 @@ def int_max_str_digits(limit):
 
 
 def test_cell_guard_edges():
-    for p, k in [(8191, 2), (5, 1365), (3, 40), (11, 8)]:
+    # 67108859 and 67108879 are the primes on either side of 2^26: at k = 1
+    # the level limit alone decides, before any table is built
+    for p, k in [(8191, 2), (5, 1365), (3, 40), (11, 8), (67108859, 1)]:
         assert cell_modulus(p, k).modulus == p**k, (p, k)
-    for p, k, limit in [(8209, 2, str(1 << 26)), (5, 1366, "4096"), (3, 10**9, "4096")]:
+    for p, k, limit in [(8209, 2, str(1 << 26)), (5, 1366, "4096"), (3, 10**9, "4096"), (67108879, 1, str(1 << 26))]:
         with pytest.raises(Oversize) as exc:
             cell_modulus(p, k)
         message = str(exc.value)
@@ -612,6 +614,16 @@ def test_pairsums_below_critical_notes(capsys):
     assert code == 0
     core_line = next(line for line in out.splitlines() if line.startswith("core"))
     assert "40" in core_line and "k < critical precision" in core_line
+
+
+def test_pairsums_note_tracks_critical_precision(capsys):
+    # the note is read off the answer: (p-1)^2/2 predicted exactly from K_p on,
+    # and always shown at k = 1 (K_p >= 2, though D_1 = {1} is already full at p = 3)
+    for p in (3, 5, 7, 11, 13, 29, 73):
+        kp = oracles.naive_critical_precision(p)
+        for k in range(1, kp + 2):
+            core_row = _jsonl_rows(capsys, "pairsums", "-p", str(p), "-k", str(k))[0]
+            assert (core_row["note"] == "k < critical precision") == (k < kp), (p, k)
 
 
 def test_scan_note4_counterexample_free(capsys):

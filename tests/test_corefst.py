@@ -131,16 +131,17 @@ def test_distinct_increments_match_naive():
 
 
 def test_core_table_cached_once_per_cell():
-    # X^(e) reads the table of p^(k-e): the core count and e = 0 share the
-    # table of 11^4, and e = 1, however often, adds the one table of 11^3
+    # X^(e) reads the table of p^(k-e), and the core count that of
+    # p^min(k, K_p): at 11^4 (K_11 = 3) the core count and e = 1, however
+    # often, share the table of 11^3, and e = 0 adds the one table of 11^4
     mod = make_modulus(11, 4)
     corefst._core_table.cache_clear()
     core_pairsum_count(mod)
-    extension_pairsum_check(mod, 0)
+    extension_pairsum_check(mod, 1)
+    extension_pairsum_check(mod, 1)
     info = corefst._core_table.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    extension_pairsum_check(mod, 1)
-    extension_pairsum_check(mod, 1)
+    extension_pairsum_check(mod, 0)
     info = corefst._core_table.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
 

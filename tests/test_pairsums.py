@@ -26,7 +26,7 @@ def test_core_count_below_critical():
 
 
 def test_core_pairsums_match_oracle():
-    for p, k in [(5, 2), (7, 2), (11, 2), (7, 3)]:
+    for p, k in [(5, 2), (7, 2), (11, 2), (7, 3), (7, 4), (11, 4), (13, 3)]:
         mod = make_modulus(p, k)
         core = set(build_core_table(mod).core)
         sums = oracles.naive_pairsums(core, mod.modulus)
@@ -34,6 +34,16 @@ def test_core_pairsums_match_oracle():
         assert observed == len(sums - {0})
         # every nonzero core pairsum is a unit
         assert all(s % p for s in sums if s)
+
+
+def test_core_count_read_at_critical_matches_full_precision():
+    # the count read at p^min(k, K_p) against the core table of p^k itself,
+    # up to three levels past K_p, and far past it at the top of the cell guard
+    primes = [p for p in range(3, 200) if oracles.naive_is_prime(p)]
+    cells = [(p, k) for p in primes for k in range(1, critical_precision(p).kp + 4)]
+    for p, k in cells + [(5, 1365)]:
+        got = core_pairsum_count(make_modulus(p, k))
+        assert got == oracles.full_precision_core_pairsum_count(p, k), (p, k)
 
 
 def test_fermat_counts_golden():

@@ -12,14 +12,17 @@ are argparse's, so the file pins the Python version it was written with
 Calls run in-process through pkcore.cli.main, with COLUMNS=80 so that
 argparse wraps help and usage the same in any terminal.
 
-The last three lines of CALLS probe the -p/-k size guard (cli.cell_modulus):
+From `core -p 3 -k 40` on, CALLS probes the -p/-k size guard (cli.cell_modulus):
 `waring -p 8209 -k 2` is refused by the sumset-level limit and `core -p
 5 -k 1366` by the residue-bit limit, both exit 4, while `core -p 3 -k 40`
 and `pairsums -p 5 -k 1000` are admitted. `waring -p 9 -k 2` is not prime.
 The guard's edges: `decompose -p 3 -k 2048 7` is admitted at exactly
 k*bitlen(p) = 4096 and `core -p 3 -k 2049` refused at 4098 bits;
 `core -p 67108879 -k 1`, the first prime above 2^26, is refused by the
-level limit.
+level limit. The heavy call, `pairsums -p 8191 -k 315`, sits at both
+limits at once (8191^2 < 2^26, 315*13 = 4095 bits): its core count is read
+at 8191^K_p, K_8191 = 3, and its line pins the bytes that the count read
+off the core table of 8191^315 itself gave.
 
 PARSE_CALLS are the argv forms that cli._match leaves to argparse (help,
 errors, `--`, `=` forms, abbreviations, values starting with '-') plus a
@@ -51,6 +54,7 @@ CALLS += [["scan", "note4", "--to", "40", "-k", "5"]]
 CALLS += [["core", "-p", "3", "-k", "40"], ["waring", "-p", "9", "-k", "2"]]
 CALLS += [["waring", "-p", "8209", "-k", "2"], ["core", "-p", "5", "-k", "1366"], ["pairsums", "-p", "5", "-k", "1000"]]
 CALLS += [["decompose", "-p", "3", "-k", "2048", "7"], ["core", "-p", "3", "-k", "2049"], ["core", "-p", "67108879", "-k", "1"]]
+CALLS += [["pairsums", "-p", "8191", "-k", "315"]]
 
 PARSE_CALLS = [[], ["-h"], ["nope"], ["core", "-h"], ["scan", "-h"], ["scan", "wieferich", "-h"]]
 PARSE_CALLS += [["decompose", "-p5", "-k", "3", "14"], ["decompose", "-p", "5", "-k", "3", "--form", "csv", "14"]]
